@@ -9,6 +9,7 @@ Exit codes: 0 success/converged, 2 budget-limited, 1 error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -35,6 +36,7 @@ TRACE_HEADER = (
     "iter,elapsed_sec,f_value,ref_value,relobj,sym_gap,residual,"
     "mu_bar,sigma_bar,inner_iters"
 )
+SWEEP_AXES = ("alpha", "lambda", "noise_t", "rank")
 
 
 class ConfigFileError(ValueError):
@@ -203,19 +205,16 @@ def cmd_solve(args):
 
 
 def _sweep_points(cfg):
+    """The cartesian product of every named sweep axis, in SWEEP_AXES order."""
     sweep = _require(cfg, "sweep", "sweep")
-    axes = {k: v for k, v in sweep.items() if k in ("alpha", "lambda", "noise_t", "rank")}
+    axes = [axis for axis in SWEEP_AXES if axis in sweep]
     if not axes:
-        raise ConfigFileError("sweep section names no axis (alpha, lambda, noise_t, rank)")
-    for axis, values in axes.items():
-        if not values:
+        raise ConfigFileError(f"sweep section names no axis {SWEEP_AXES}")
+    for axis in axes:
+        if not sweep[axis]:
             raise ConfigFileError(f"sweep axis `{axis}` has an empty value list")
-    if "noise_t" in axes or "rank" in axes:
-        ts = axes.get("noise_t", [cfg["dataset"].get("noise_t", 0.0)])
-        rs = axes.get("rank", [cfg["problem"]["rank"]])
-        return [{"noise_t": t, "rank": r} for t in ts for r in rs]
-    axis, values = next(iter(axes.items()))
-    return [{axis: v} for v in values]
+    return [dict(zip(axes, values))
+            for values in itertools.product(*(sweep[axis] for axis in axes))]
 
 
 def _apply_point(cfg, point):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        if self.r < 1:
+            raise ValueError(f"rank r={self.r} must be >= 1")
         if self.r > self.n:
             raise ValueError(f"rank r={self.r} exceeds n={self.n}")
         if self.lam < 0:
@@ -44,6 +47,13 @@ class ProblemSpec:
             raise ValueError(
                 f"b has shape {self.b.shape}, expected ({self.map.q},)"
             )
+        if not np.all(np.isfinite(self.b)):
+            raise ValueError("b has non-finite entries")
+
+    @cached_property
+    def bnorm(self) -> float:
+        """||b||, the scale of the relative objective and roundoff bounds."""
+        return float(np.linalg.norm(self.b))
 
     def check_shapes(self, X, Y):
         for name, M in (("X", X), ("Y", Y)):
@@ -146,10 +156,9 @@ def relobj(spec: ProblemSpec, X, Y) -> float:
     f = f_lambda(spec, X, Y)
     if math.isinf(f):
         raise ValueError("objective is infinite at (X, Y)")
-    bnorm = float(np.linalg.norm(spec.b))
-    if bnorm == 0:
+    if spec.bnorm == 0:
         raise ZeroDivisionError("||b|| = 0; relative objective undefined")
-    return math.sqrt(max(2.0 * f, 0.0)) / bnorm
+    return math.sqrt(max(2.0 * f, 0.0)) / spec.bnorm
 
 
 class GramCache:
@@ -167,22 +176,18 @@ class GramCache:
         self.version = 0
         self.UtU = None
         self.VtV = None
-        self.XtU = None
-        self.YtV = None
         self.MtU = None
         self.UtV = None
 
-    def refresh(self, U, V, X=None, Y=None):
-        """Recompute all products for the pair (U, V); returns the new version.
+    def refresh(self, U, V, MtU):
+        """Store the products for the pair (U, V); returns the new version.
 
-        X and Y, when given, are the previous iterates (for step-size norms).
+        ``MtU`` is ``M^T U``, which the caller has already formed.
         """
         self.UtU = U.T @ U
         self.VtV = V.T @ V
-        self.MtU = self.M.T @ U
+        self.MtU = MtU
         self.UtV = U.T @ V
-        self.XtU = X.T @ U if X is not None else None
-        self.YtV = Y.T @ V if Y is not None else None
         self.version += 1
         return self.version
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import diagnostics
 from .objective import (
     GramCache,
     ProblemSpec,
@@ -29,6 +30,7 @@ from .objective import (
     z_star,
 )
 from .operators import FullVectorization
+from .regularizers import Zero
 
 SCHEMES = ("proximal", "prox_linear", "hierarchical")
 LINE_SEARCHES = ("average", "max")
@@ -94,10 +96,6 @@ class SolverConfig:
         if self.consec_required < 1:
             raise ConfigError("consec_required must be >= 1")
 
-    def p_next(self, k):
-        """Averaging weight for iteration k; constant by default."""
-        return self.p_const
-
 
 @dataclass
 class IterationRecord:
@@ -145,27 +143,10 @@ class SolveResult:
     y0: np.ndarray
 
 
-def spectral_norm_sq(A, max_iters=500, tol=1e-10):
-    """lambda_max(A^T A) by power iteration on the r-by-r Gram matrix.
-
-    Deterministic start; the iteration cap is generous so the estimate is
-    tight enough for the backtracking caps even with clustered spectra.
-    """
-    G = np.asarray(A).T @ np.asarray(A)
-    r = G.shape[0]
-    v = np.full(r, 1.0 / math.sqrt(r))
-    lam = 0.0
-    for _ in range(max_iters):
-        w = G @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new = float(v @ (G @ v))
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
-            return new
-        lam = new
-    return lam
+def spectral_norm_sq(A):
+    """lambda_max(A^T A): the top eigenvalue of the r-by-r Gram matrix."""
+    A = np.asarray(A)
+    return float(np.linalg.eigvalsh(A.T @ A)[-1])
 
 
 def reference_value_update(mode, R_k, f_new, p_next=None, history=(),
@@ -189,32 +170,29 @@ def reference_value_update(mode, R_k, f_new, p_next=None, history=(),
 class _Kernel:
     """Per-solve scratch holding the block-update formulas.
 
-    Uses the materialized Z for general maps; for the full-vectorization
-    (symmetric NMF) case it works matrix-free through the target M and the
-    Gram cache, never forming X Y^T or Z.
+    Works on a materialized Z when one is given or the map is general; for
+    the full-vectorization (symmetric NMF) case without a given Z it works
+    matrix-free through the target M and the Gram cache, never forming
+    X Y^T or Z.
     """
 
     def __init__(self, spec: ProblemSpec, params: RelaxationParams,
-                 config: SolverConfig, use_fast_path=True):
+                 config: SolverConfig):
         self.spec = spec
         self.params = params
         self.config = config
-        self.snmf = use_fast_path and isinstance(spec.map, FullVectorization)
-        self.bnorm = float(np.linalg.norm(spec.b))
         self.f_err = 0.0
         a, b = params.alpha, params.beta
         self.az = a / (a + b)
         self.bz = b / (a + b)
-        if self.snmf:
-            self.M = spec.map.adjoint(spec.b)
-            self.cache = GramCache(self.M)
+        if isinstance(spec.map, FullVectorization):
+            self.cache = GramCache(spec.map.adjoint(spec.b))
             self._zbuf = None
         else:
-            self.M = None
             self.cache = None
             self._zbuf = np.empty((spec.n, spec.n))
         if config.scheme == "proximal" and not (
-            type(spec.psi).__name__ == "Zero" and type(spec.phi).__name__ == "Zero"
+            isinstance(spec.psi, Zero) and isinstance(spec.phi, Zero)
         ):
             raise ConfigError(
                 "the proximal scheme has a closed form only for the zero "
@@ -231,81 +209,61 @@ class _Kernel:
         self.X = X
         self.Y = Y
         self.Gy = Y.T @ Y
-        if Z is not None:
-            self.Z = np.asarray(Z, dtype=float)
-            self.ZY = self.Z @ Y
-        elif self.snmf:
-            self.MY = self.M @ Y
+        if Z is None and self.cache is not None:
             # Z Y without forming Z:  Z = az * X Y^T + bz * M
-            self.ZY = self.az * (X @ self.Gy) + self.bz * self.MY
             self.Z = None
+            self.ZY = self.az * (X @ self.Gy) + self.bz * (self.cache.M @ Y)
         else:
-            self.Z = z_star(self.spec, self.params, X, Y, out=self._zbuf)
+            self.Z = (z_star(self.spec, self.params, X, Y, out=self._zbuf)
+                      if Z is None else np.asarray(Z, dtype=float))
             self.ZY = self.Z @ Y
         self.ynorm2 = spectral_norm_sq(Y)
 
-    # -- U block -----------------------------------------------------------
+    # -- blocks -------------------------------------------------------------
 
     def update_u(self, mu):
-        scheme = self.config.scheme
-        lam = self.spec.lam
-        a = self.params.alpha
-        X, Y = self.X, self.Y
-        if scheme == "prox_linear":
-            G = a * (X @ self.Gy - self.ZY)
-            t = 1.0 / (lam + mu)
-            return self.spec.psi.prox((lam * Y + mu * X - G) * t, t)
-        if scheme == "proximal":
-            A = a * self.Gy + (lam + mu) * np.eye(self.spec.r)
-            rhs = a * self.ZY + lam * Y + mu * X
-            return _solve_rxr(A, rhs)
-        # hierarchical
-        U = X.copy()
-        Gy = self.Gy
-        for i in range(self.spec.r):
-            d = a * Gy[i, i] + lam + mu
-            if d <= 0:
-                raise AlgorithmInvariantError(
-                    f"nonpositive column curvature {d} in hierarchical U-update"
-                )
-            p = self.ZY[:, i] - (U @ Gy[:, i] - U[:, i] * Gy[i, i])
-            w = (a * p + lam * Y[:, i] + mu * X[:, i]) / d
-            U[:, i] = self.spec.psi.prox_column(i, w, 1.0 / d)
-        return U
-
-    # -- V block -----------------------------------------------------------
+        return self._block("U", self.spec.psi, self.X, self.Y, self.Gy, self.ZY, mu)
 
     def update_v(self, U, sigma):
+        if self.Z is None:
+            self._MtU = self.cache.M.T @ U
+            ZtU = self.az * (self.Y @ (self.X.T @ U)) + self.bz * self._MtU
+        else:
+            ZtU = self.Z.T @ U
+        return self._block("V", self.spec.phi, self.Y, U, U.T @ U, ZtU, sigma)
+
+    def _block(self, name, reg, prev, other, G, ZO, step):
+        """One block update; U and V are the same subproblem with roles swapped.
+
+        The block W replaces ``prev`` and couples to ``other`` through
+        ``(alpha/2)||W other^T - Z||^2 + (lam/2)||W - other||^2`` plus the
+        proximal term ``(step/2)||W - prev||^2``; ``G = other^T other`` and
+        ``ZO = Z other`` (``Z^T other`` for V).  The U block passes
+        (Psi, X, Y, Z Y, mu) and the V block (Phi, Y, U, Z^T U, sigma).
+        """
         scheme = self.config.scheme
         lam = self.spec.lam
         a = self.params.alpha
-        Y = self.Y
-        Gu = U.T @ U
-        if self.snmf:
-            self._XtU = self.X.T @ U
-            self._MtU = self.M.T @ U
-            ZtU = self.az * (Y @ self._XtU) + self.bz * self._MtU
-        else:
-            ZtU = self.Z.T @ U
         if scheme == "prox_linear":
-            G = a * (Y @ Gu - ZtU)
-            t = 1.0 / (lam + sigma)
-            return self.spec.phi.prox((lam * U + sigma * Y - G) * t, t)
+            grad = a * (prev @ G - ZO)
+            t = 1.0 / (lam + step)
+            return reg.prox((lam * other + step * prev - grad) * t, t)
         if scheme == "proximal":
-            A = a * Gu + (lam + sigma) * np.eye(self.spec.r)
-            rhs = a * ZtU + lam * U + sigma * Y
+            A = a * G + (lam + step) * np.eye(self.spec.r)
+            rhs = a * ZO + lam * other + step * prev
             return _solve_rxr(A, rhs)
-        V = Y.copy()
+        # hierarchical: Gauss-Seidel sweep over the columns
+        W = prev.copy()
         for i in range(self.spec.r):
-            d = a * Gu[i, i] + lam + sigma
+            d = a * G[i, i] + lam + step
             if d <= 0:
                 raise AlgorithmInvariantError(
-                    f"nonpositive column curvature {d} in hierarchical V-update"
+                    f"nonpositive column curvature {d} in hierarchical {name}-update"
                 )
-            q = ZtU[:, i] - (V @ Gu[:, i] - V[:, i] * Gu[i, i])
-            w = (a * q + lam * U[:, i] + sigma * Y[:, i]) / d
-            V[:, i] = self.spec.phi.prox_column(i, w, 1.0 / d)
-        return V
+            p = ZO[:, i] - (W @ G[:, i] - W[:, i] * G[i, i])
+            w = (a * p + lam * other[:, i] + step * prev[:, i]) / d
+            W[:, i] = reg.prox_column(i, w, 1.0 / d)
+        return W
 
     # -- objective ----------------------------------------------------------
 
@@ -319,42 +277,30 @@ class _Kernel:
         residual itself.  The line search consumes the error estimate
         (``f_err``) as its acceptance slack.
         """
-        if self.snmf:
-            self.cache.refresh(U, V, X=self.X, Y=self.Y)
+        if self.Z is None:
+            cache = self.cache
+            cache.refresh(U, V, self._MtU)
             scale = (
-                abs(float(np.sum(self.cache.UtU * self.cache.VtV)))
-                + 2.0 * abs(float(np.sum(self.cache.MtU * V)))
-                + self.cache.normM2
+                abs(float(np.sum(cache.UtU * cache.VtV)))
+                + 2.0 * abs(float(np.sum(cache.MtU * V)))
+                + cache.normM2
             )
             val = snmf_objective_cached(
-                self.cache, self.spec, U, V, self.spec.lam,
-                version=self.cache.version,
+                cache, self.spec, U, V, self.spec.lam, version=cache.version
             )
             if abs(val) > 1e5 * _EPS * scale:
                 self.f_err = 64.0 * _EPS * scale
                 return val
-            val = self._direct_objective(U, V)
-        else:
-            val = f_lambda(self.spec, U, V)
-        if math.isinf(val):
-            self.f_err = 0.0
-        else:
-            self.f_err = 8.0 * _EPS * (
-                1.0 + abs(val) + self.bnorm * math.sqrt(2.0 * max(val, 0.0))
-            )
+        val = f_lambda(self.spec, U, V)
+        self.f_err = _roundoff_bound(val, self.spec.bnorm)
         return val
 
-    def _direct_objective(self, U, V):
-        reg = self.spec.psi.eval(U) + self.spec.phi.eval(V)
-        if math.isinf(reg):
-            return math.inf
-        D = U @ V.T
-        D -= self.M
-        val = reg + 0.5 * float(np.sum(D * D))
-        if self.spec.lam:
-            S = U - V
-            val += 0.5 * self.spec.lam * float(np.sum(S * S))
-        return val
+
+def _roundoff_bound(f, bnorm):
+    """Absolute roundoff error of an objective value f evaluated directly."""
+    if math.isinf(f):
+        return 0.0
+    return 8.0 * _EPS * (1.0 + abs(f) + bnorm * math.sqrt(2.0 * max(f, 0.0)))
 
 
 def _solve_rxr(A, rhs):
@@ -369,7 +315,7 @@ def update_u(scheme, spec, params, X_k, Y_k, Z_k, mu):
     """Candidate U block for one scheme, given the auxiliary block Z_k."""
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    kern = _Kernel(spec, params, SolverConfig(scheme=scheme), use_fast_path=False)
+    kern = _Kernel(spec, params, SolverConfig(scheme=scheme))
     kern.begin_outer(np.asarray(X_k, dtype=float), np.asarray(Y_k, dtype=float),
                      Z=Z_k)
     return kern.update_u(mu)
@@ -380,7 +326,7 @@ def update_v(scheme, spec, params, U, Y_k, Z_k, sigma):
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     U = np.asarray(U, dtype=float)
-    kern = _Kernel(spec, params, SolverConfig(scheme=scheme), use_fast_path=False)
+    kern = _Kernel(spec, params, SolverConfig(scheme=scheme))
     kern.begin_outer(U, np.asarray(Y_k, dtype=float), Z=Z_k)
     return kern.update_v(U, sigma)
 
@@ -395,11 +341,13 @@ def init_state(spec: ProblemSpec, config: SolverConfig, X0=None, Y0=None):
         Y0 = rng.uniform(size=(spec.n, spec.r))
     X0 = np.asarray(X0, dtype=float)
     Y0 = np.asarray(Y0, dtype=float)
+    for name, W in (("X0", X0), ("Y0", Y0)):
+        if not np.all(np.isfinite(W)):
+            raise ValueError(f"{name} has non-finite entries")
     f0 = f_lambda(spec, X0, Y0)
     if math.isinf(f0):
         raise ValueError("infeasible start: objective is infinite at (X0, Y0)")
-    bnorm = float(np.linalg.norm(spec.b))
-    err0 = 8.0 * _EPS * (1.0 + abs(f0) + bnorm * math.sqrt(2.0 * max(f0, 0.0)))
+    err0 = _roundoff_bound(f0, spec.bnorm)
     return SolverState(
         k=0, X=X0, Y=Y0, R=f0, mu_bar=1.0, sigma_bar=1.0,
         f_value=f0, f_history=[f0], R_err=err0, err_history=[err0],
@@ -428,8 +376,6 @@ def inner_iteration_budget(mu_max, mu_min, tau):
 def step(state: SolverState, spec: ProblemSpec, params: RelaxationParams,
          config: SolverConfig, _kernel=None):
     """Run one outer iteration in place; returns the IterationRecord."""
-    from . import diagnostics
-
     kern = _kernel if _kernel is not None else _Kernel(spec, params, config)
     X, Y = state.X, state.Y
     kern.begin_outer(X, Y)
@@ -482,7 +428,7 @@ def step(state: SolverState, spec: ProblemSpec, params: RelaxationParams,
         del state.f_history[: -(config.window + 1)]
         del state.err_history[: -(config.window + 1)]
     if config.line_search == "average":
-        p = config.p_next(state.k + 1)
+        p = config.p_const
         R_new = reference_value_update(
             "average", state.R, f_new, p_next=p, p_min=config.p_min
         )
@@ -502,13 +448,13 @@ def step(state: SolverState, spec: ProblemSpec, params: RelaxationParams,
     state.k += 1
     state.elapsed += _work_seconds(spec.n, spec.r, inner)
 
-    bnorm = float(np.linalg.norm(spec.b))
     rec = IterationRecord(
         k=state.k,
         elapsed_sec=state.elapsed,
         f_value=f_new,
         ref_value=R_new,
-        relobj=math.sqrt(max(2.0 * f_new, 0.0)) / bnorm if bnorm else math.nan,
+        relobj=(math.sqrt(max(2.0 * f_new, 0.0)) / spec.bnorm
+                if spec.bnorm else math.nan),
         sym_gap=diagnostics.symmetry_gap(U, V),
         stationarity_residual=diagnostics.stationarity_residual(spec, U, V),
         mu_bar=mu,

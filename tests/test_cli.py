@@ -229,6 +229,20 @@ def test_cli_sweep_noise_rank_grid(tmp_path, capsys):
     assert len(rows) == 4
 
 
+def test_cli_sweep_alpha_lambda_grid(tmp_path, capsys):
+    cfg = base_config(**{"solver.max_iters": 200, "solver.tol": 1e-9})
+    cfg["sweep"] = {"alpha": [0.6, 2.0], "lambda": [0.5, 1.0]}
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+    rows = read_sweep(out / "sweep.csv")
+    assert [r["point"] for r in rows] == [
+        "alpha=0.6;lambda=0.5", "alpha=0.6;lambda=1.0",
+        "alpha=2.0;lambda=0.5", "alpha=2.0;lambda=1.0",
+    ]
+    assert all(r["failed"] == "0" for r in rows)
+
+
 # --------------------------------------------------------------------------
 # check subcommand
 # --------------------------------------------------------------------------

@@ -41,6 +41,25 @@ def test_problem_spec_validation():
         ProblemSpec(amap, np.zeros(4), Zero(), Zero(), 0.0, n=3, r=2)
 
 
+def test_problem_spec_rejects_nonfinite_b():
+    M = np.eye(3)
+    M[1, 2] = np.nan
+    with pytest.raises(ValueError, match="^b has non-finite entries"):
+        snmf_spec(M, 2, 0.0)
+    amap = FullVectorization(3)
+    b = np.zeros(9)
+    b[4] = np.inf
+    with pytest.raises(ValueError, match="^b has non-finite entries"):
+        ProblemSpec(amap, b, Zero(), Zero(), 0.0, n=3, r=2)
+
+
+def test_problem_spec_rejects_rank_below_one():
+    with pytest.raises(ValueError, match="rank r=0 must be >= 1"):
+        snmf_spec(np.eye(3), 0, 0.0)
+    with pytest.raises(ValueError, match="rank r=-1 must be >= 1"):
+        ProblemSpec(FullVectorization(3), np.zeros(9), Zero(), Zero(), 0.0, n=3, r=-1)
+
+
 def test_relaxation_params_validation():
     with pytest.raises(ValueError, match="1/alpha"):
         RelaxationParams(alpha=2.0, beta=3.0, gamma=0.0, rho=1.0)
@@ -235,7 +254,7 @@ def test_snmf_objective_cached_matches_f_lambda():
     for _ in range(10):
         U = rng.uniform(size=(30, 4))
         V = rng.uniform(size=(30, 4))
-        ver = cache.refresh(U, V)
+        ver = cache.refresh(U, V, M.T @ U)
         got = snmf_objective_cached(cache, spec, U, V, spec.lam, version=ver)
         want = f_lambda(spec, U, V)
         assert got == pytest.approx(want, rel=1e-10)
@@ -247,7 +266,7 @@ def test_snmf_objective_cached_zero_at_planted_pair():
     M = U @ U.T
     spec = snmf_spec(M, 3, 1.0)
     cache = GramCache(M)
-    cache.refresh(U, U)
+    cache.refresh(U, U, M.T @ U)
     assert snmf_objective_cached(cache, spec, U, U, 1.0) == pytest.approx(
         0.0, abs=1e-10
     )
@@ -261,7 +280,7 @@ def test_snmf_objective_cached_rank_one_reduction():
     M = 0.5 * (M + M.T)
     spec = snmf_spec(M, 1, 0.0, psi=Zero(), phi=Zero())
     cache = GramCache(M)
-    ver = cache.refresh(u, v)
+    ver = cache.refresh(u, v, M.T @ u)
     got = snmf_objective_cached(cache, spec, u, v, 0.0, version=ver)
     assert got == pytest.approx(0.5 * float(np.sum((u @ v.T - M) ** 2)), rel=1e-12)
 
@@ -272,8 +291,8 @@ def test_gram_cache_staleness_is_an_error():
     cache = GramCache(M)
     spec = snmf_spec(M, 2, 0.0)
     U = rng.uniform(size=(4, 2))
-    ver = cache.refresh(U, U)
-    cache.refresh(U + 1.0, U + 1.0)
+    ver = cache.refresh(U, U, M.T @ U)
+    cache.refresh(U + 1.0, U + 1.0, M.T @ (U + 1.0))
     with pytest.raises(RuntimeError, match="stale"):
         snmf_objective_cached(cache, spec, U, U, 0.0, version=ver)
 
@@ -284,12 +303,8 @@ def test_gram_cache_products_match_recomputation():
     cache = GramCache(M)
     U = rng.uniform(size=(7, 3))
     V = rng.uniform(size=(7, 3))
-    X = rng.uniform(size=(7, 3))
-    Y = rng.uniform(size=(7, 3))
-    cache.refresh(U, V, X=X, Y=Y)
+    cache.refresh(U, V, M.T @ U)
     assert np.allclose(cache.UtU, U.T @ U, rtol=1e-12)
     assert np.allclose(cache.VtV, V.T @ V, rtol=1e-12)
-    assert np.allclose(cache.MtU, M.T @ U, rtol=1e-12)
-    assert np.allclose(cache.XtU, X.T @ U, rtol=1e-12)
-    assert np.allclose(cache.YtV, Y.T @ V, rtol=1e-12)
+    assert np.allclose(cache.UtV, U.T @ V, rtol=1e-12)
     assert cache.normM2 == pytest.approx(float(np.sum(M * M)), rel=1e-14)

@@ -71,10 +71,19 @@ def test_proximal_scheme_needs_zero_regularizer():
 
 def test_spectral_norm_sq_matches_dense_solver():
     rng = np.random.default_rng(0)
-    for shape in ((7, 3), (20, 5), (4, 4)):
-        A = rng.standard_normal(shape)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+    inputs = [rng.standard_normal(shape) for shape in ((7, 3), (20, 5), (4, 4))]
+    inputs += [
+        # columns [a, -a]: the Gram matrix [[5, -5], [-5, 5]] has spectrum {0, 10}
+        np.array([[1.0, -1.0], [2.0, -2.0]]),
+        # repeated top eigenvalue: A^T A = diag(4, 4, 1)
+        Q * np.array([2.0, 2.0, 1.0]),
+    ]
+    for A in inputs:
         want = float(np.linalg.norm(A, 2)) ** 2
-        assert spectral_norm_sq(A) == pytest.approx(want, rel=1e-8)
+        assert spectral_norm_sq(A) == pytest.approx(want, rel=1e-12)
+    assert spectral_norm_sq(inputs[3]) == pytest.approx(10.0, rel=1e-14)
+    assert spectral_norm_sq(inputs[4]) == pytest.approx(4.0, rel=1e-14)
     assert spectral_norm_sq(np.zeros((5, 2))) == 0.0
 
 
@@ -346,6 +355,22 @@ def test_solve_is_deterministic():
         assert a.mu_bar == b.mu_bar
         assert a.sigma_bar == b.sigma_bar
         assert a.inner_iterations == b.inner_iterations
+
+
+def test_init_state_rejects_nonfinite_x0():
+    spec, B = planted(6, 2, 14)
+    X0 = B.copy()
+    X0[3, 1] = np.nan
+    with pytest.raises(ValueError, match="^X0 has non-finite entries"):
+        init_state(spec, SolverConfig(), X0=X0, Y0=B)
+
+
+def test_init_state_rejects_nonfinite_y0():
+    spec, B = planted(6, 2, 14)
+    Y0 = B.copy()
+    Y0[0, 0] = -np.inf
+    with pytest.raises(ValueError, match="^Y0 has non-finite entries"):
+        init_state(spec, SolverConfig(), X0=B, Y0=Y0)
 
 
 def test_infeasible_start_is_rejected():
