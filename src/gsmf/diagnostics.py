@@ -8,12 +8,15 @@ inequalities a correct solver run must satisfy.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .objective import ProblemSpec, RelaxationParams, f_lambda, theta, z_star
+
+log = logging.getLogger("gsmf")
 
 
 @dataclass
@@ -30,21 +33,26 @@ class DiagnosticsReport:
 
 
 def gradients(spec: ProblemSpec, X, Y):
-    """Partial gradients of the smooth part of the objective."""
+    """Partial gradients of the smooth part of the objective.
+
+    The misfit products come from the map: Gram products on the full map,
+    sparse products on the sampling map, never an n-by-n matrix.
+    """
     spec.check_shapes(X, Y)
-    G = spec.map.adjoint(spec.map.apply(X @ Y.T) - spec.b)
+    GY, GtX = spec.map.misfit_products(X, Y, spec.b)
     D = spec.lam * (X - Y)
-    return G @ Y + D, G.T @ X - D
+    return GY + D, GtX - D
 
 
-def stationarity_residual(spec: ProblemSpec, X, Y) -> float:
+def stationarity_residual(spec: ProblemSpec, X, Y, grads=None) -> float:
     """Prox-gradient mapping norm with unit step.
 
     Zero exactly at first-order stationary points when both regularizers
     are convex; used as the computable surrogate for the distance to the
-    subdifferential.
+    subdifferential.  ``grads`` may supply the pair :func:`gradients`
+    returns when the caller already has it.
     """
-    gx, gy = gradients(spec, X, Y)
+    gx, gy = gradients(spec, X, Y) if grads is None else grads
     rx = X - spec.psi.prox(X - gx, 1.0)
     ry = Y - spec.phi.prox(Y - gy, 1.0)
     return float(np.linalg.norm(rx)) + float(np.linalg.norm(ry))
@@ -211,7 +219,8 @@ def report(spec: ProblemSpec, params: RelaxationParams, result,
     X, Y = result.X, result.Y
     try:
         threshold, satisfied = exact_penalty_threshold(spec, X, Y)
-    except ValueError:
+    except ValueError as exc:
+        log.warning("exact-penalty threshold not available: %s", exc)
         threshold, satisfied = math.nan, False
     if config is not None and result.records and result.records[0].x is not None:
         violations = descent_audit(result, spec, params, config)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 
 import numpy as np
+from scipy import sparse
 
 
 class DimensionMismatchError(ValueError):
@@ -38,6 +39,16 @@ class LinearMap:
         """Compute ``A* A (U)``."""
         self._check_matrix(U)
         return self.adjoint(self.apply(U))
+
+    def misfit_products(self, X, Y, b):
+        """``(G Y, G^T X)`` for the misfit ``G = A*(A(X Y^T) - b)``.
+
+        These are the gradients of ``1/2 ||A(X Y^T) - b||^2`` in X and Y.
+        This dense version forms G and is the reference the subclasses
+        must match without any n-by-n work.
+        """
+        G = self.adjoint(self.apply(X @ Y.T) - b)
+        return G @ Y, G.T @ X
 
     def shifted_inverse_apply(self, alpha, beta, W):
         """Apply ``(alpha I + beta A* A)^{-1}`` to ``W``.
@@ -91,6 +102,12 @@ class FullVectorization(LinearMap):
         U = self._check_matrix(U)
         return U.copy()
 
+    def misfit_products(self, X, Y, b):
+        """Gram identities ``G Y = X (Y^T Y) - M Y`` and
+        ``G^T X = Y (X^T X) - M^T X``, with ``M = A*(b)``."""
+        M = self.adjoint(b)
+        return X @ (Y.T @ Y) - M @ Y, Y @ (X.T @ X) - M.T @ X
+
 
 class SymmetricSampling(LinearMap):
     """Sampling map that reads the entries of U indexed by a symmetric Omega.
@@ -128,6 +145,8 @@ class SymmetricSampling(LinearMap):
         mask = np.zeros((n, n), dtype=bool)
         mask[self._rows, self._cols] = True
         self._mask = mask
+        # Omega is sorted column first, so it is already in CSC order
+        self._colptr = np.searchsorted(self._cols, np.arange(self.n + 1))
 
     def apply(self, U):
         U = self._check_matrix(U)
@@ -142,6 +161,15 @@ class SymmetricSampling(LinearMap):
     def gram_apply(self, U):
         U = self._check_matrix(U)
         return np.where(self._mask, U, 0.0)
+
+    def misfit_products(self, X, Y, b):
+        """G is |Omega|-sparse with entries ``<X_i, Y_j> - b`` on Omega, so
+        both products cost O(|Omega| r) and need no n-by-n memory."""
+        vals = np.einsum("ij,ij->i", X[self._rows], Y[self._cols])
+        vals -= self._check_vector(b)
+        G = sparse.csc_array((vals, self._rows, self._colptr),
+                             shape=(self.n, self.n))
+        return G @ Y, G.T @ X
 
 
 def rho(alpha, beta):

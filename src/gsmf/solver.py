@@ -185,6 +185,8 @@ class _Kernel:
         a, b = params.alpha, params.beta
         self.az = a / (a + b)
         self.bz = b / (a + b)
+        # M V for the last accepted V, which the next begin_outer reuses as M Y
+        self._V = self._MV = None
         if isinstance(spec.map, FullVectorization):
             self.cache = GramCache(spec.map.adjoint(spec.b))
             self._zbuf = None
@@ -212,7 +214,8 @@ class _Kernel:
         if Z is None and self.cache is not None:
             # Z Y without forming Z:  Z = az * X Y^T + bz * M
             self.Z = None
-            self.ZY = self.az * (X @ self.Gy) + self.bz * (self.cache.M @ Y)
+            MY = self._MV if Y is self._V else self.cache.M @ Y
+            self.ZY = self.az * (X @ self.Gy) + self.bz * MY
         else:
             self.Z = (z_star(self.spec, self.params, X, Y, out=self._zbuf)
                       if Z is None else np.asarray(Z, dtype=float))
@@ -264,6 +267,24 @@ class _Kernel:
             w = (a * p + lam * other[:, i] + step * prev[:, i]) / d
             W[:, i] = reg.prox_column(i, w, 1.0 / d)
         return W
+
+    # -- stationarity --------------------------------------------------------
+
+    def gradients(self, U, V):
+        """Gradients at the accepted pair from the step's own products.
+
+        On the matrix-free path ``M^T U`` comes from ``update_v`` and the
+        Gram matrices from the cache :meth:`objective` refreshed for
+        (U, V); the one new product ``M V`` is kept for the next
+        :meth:`begin_outer`.  Returns None when Z is materialized, where the
+        map computes them instead.
+        """
+        if self.Z is not None:
+            return None
+        cache = self.cache
+        self._V, self._MV = V, cache.M @ V
+        D = self.spec.lam * (U - V)
+        return U @ cache.VtV - self._MV + D, V @ cache.UtU - cache.MtU - D
 
     # -- objective ----------------------------------------------------------
 
@@ -368,9 +389,24 @@ def _work_seconds(n, r, inner):
 
 
 def inner_iteration_budget(mu_max, mu_min, tau):
-    """Upper bound on line-search inner iterations per outer iteration."""
+    """Inner-iteration budget from the mu escalations alone.
+
+    :func:`step` starts from this and raises it by the sigma escalations
+    still needed once mu reaches its cap and sigma_max is known.
+    """
     n_mu = math.floor((math.log(mu_max) - math.log(mu_min)) / math.log(tau) + 2.0)
     return 2 * max(1, n_mu) + 2
+
+
+def _escalations(sigma, sigma_max, tau):
+    """Inner iterations left until ``sigma <- min(tau sigma, sigma_max)``
+    reaches its cap; the last of them runs at the cap."""
+    count = 1
+    sigma = min(tau * sigma, sigma_max)
+    while sigma < sigma_max:
+        sigma = min(tau * sigma, sigma_max)
+        count += 1
+    return count
 
 
 def step(state: SolverState, spec: ProblemSpec, params: RelaxationParams,
@@ -411,7 +447,10 @@ def step(state: SolverState, spec: ProblemSpec, params: RelaxationParams,
         ):
             break
         if mu == mu_max:
-            sigma_max = coef * spectral_norm_sq(U) + config.c
+            if math.isnan(sigma_max):
+                sigma_max = coef * spectral_norm_sq(U) + config.c
+                budget = max(budget, inner + _escalations(
+                    sigma, sigma_max, config.tau))
             sigma = min(config.tau * sigma, sigma_max)
             recompute_u = False
         else:
@@ -456,7 +495,8 @@ def step(state: SolverState, spec: ProblemSpec, params: RelaxationParams,
         relobj=(math.sqrt(max(2.0 * f_new, 0.0)) / spec.bnorm
                 if spec.bnorm else math.nan),
         sym_gap=diagnostics.symmetry_gap(U, V),
-        stationarity_residual=diagnostics.stationarity_residual(spec, U, V),
+        stationarity_residual=diagnostics.stationarity_residual(
+            spec, U, V, grads=kern.gradients(U, V)),
         mu_bar=mu,
         sigma_bar=sigma,
         inner_iterations=inner,

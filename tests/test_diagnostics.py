@@ -1,4 +1,5 @@
 import copy
+import logging
 import math
 
 import numpy as np
@@ -218,3 +219,51 @@ def test_residual_decreases_along_iterates():
     assert result.records[-1].stationarity_residual <= 1e-4
     early = np.mean([r.stationarity_residual for r in result.records[:5]])
     assert result.records[-1].stationarity_residual < early
+
+
+def _dense_residual(spec, X, Y):
+    # the reference formula: forms G = A*(A(X Y^T) - b) as an n-by-n matrix
+    G = spec.map.adjoint(spec.map.apply(X @ Y.T) - spec.b)
+    D = spec.lam * (X - Y)
+    rx = X - spec.psi.prox(X - (G @ Y + D), 1.0)
+    ry = Y - spec.phi.prox(Y - (G.T @ X - D), 1.0)
+    return float(np.linalg.norm(rx)) + float(np.linalg.norm(ry))
+
+
+@pytest.mark.parametrize("kind", ["full", "sampling"])
+@pytest.mark.parametrize("scheme", ["prox_linear", "hierarchical"])
+def test_recorded_residual_matches_dense_oracle(kind, scheme):
+    rng = np.random.default_rng(18)
+    B = rng.uniform(size=(30, 3))
+    M = B @ B.T + 0.05 * rng.standard_normal((30, 30))
+    M = 0.5 * (M + M.T)
+    if kind == "full":
+        spec = snmf_spec(M, 3, 1.0)
+    else:
+        amap = SymmetricSampling(30, random_symmetric_omega(30, 0.3, rng))
+        spec = ProblemSpec(amap, amap.apply(M), NonnegIndicator(),
+                           NonnegIndicator(), lam=1.0, n=30, r=3)
+    params = RelaxationParams.from_alpha(0.6)
+    result = solve(spec, params, SolverConfig(scheme=scheme, max_iters=25,
+                                              audit=True, seed=3))
+    assert len(result.records) == 25
+    for rec in result.records:
+        want = _dense_residual(spec, rec.x, rec.y)
+        assert rec.stationarity_residual == pytest.approx(want, rel=1e-10)
+        assert stationarity_residual(spec, rec.x, rec.y) == pytest.approx(
+            want, rel=1e-10)
+
+
+def test_report_logs_why_penalty_threshold_is_missing(caplog):
+    rng = np.random.default_rng(19)
+    M = rng.uniform(size=(8, 8))  # not symmetric, so A*(b) is not either
+    spec = snmf_spec(M, 2, 1.0)
+    params = RelaxationParams.from_alpha(0.6)
+    result = solve(spec, params, SolverConfig(max_iters=5))
+    with caplog.at_level(logging.WARNING, logger="gsmf"):
+        rep = report(spec, params, result)
+    assert math.isnan(rep.penalty_threshold) and not rep.penalty_satisfied
+    warnings = [r for r in caplog.records if r.name == "gsmf"]
+    assert len(warnings) == 1
+    assert warnings[0].levelno == logging.WARNING
+    assert "A*(b) must be symmetric" in warnings[0].getMessage()

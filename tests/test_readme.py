@@ -1,0 +1,15 @@
+"""The README's library quickstart must run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quickstart_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks, "README.md has no python block"
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {"__name__": "readme"})
+    out = capsys.readouterr().out
+    assert out.startswith("Converged")

@@ -424,3 +424,54 @@ def test_budget_violation_raises_invariant_error():
     state = init_state(spec, config)
     with pytest.raises(AlgorithmInvariantError, match="budget"):
         step(state, spec, params, config, _kernel=BrokenKernel(spec, params, config))
+
+
+def test_prox_linear_budget_covers_sigma_escalations():
+    # once ||Y||^2 collapses, mu_max < mu_min caps mu at once; the budget
+    # must then cover the sigma escalations to sigma_max (about six here),
+    # not just the mu-only budget of 4
+    from gsmf.data import DatasetRecipe, gen_data
+
+    M = gen_data(DatasetRecipe("synthetic", n=500, m=10, seed=1, noise_t=0.01,
+                               symmetrize_noise=True))
+    spec = snmf_spec(M, 10, 1.0)
+    params = RelaxationParams.from_alpha(0.6)
+    for seed in range(8):
+        result = solve(spec, params,
+                       SolverConfig(scheme="prox_linear", max_iters=30, seed=seed))
+        assert result.status == STATUS_ITER_LIMIT
+        assert len(result.records) == 30
+        assert max(rec.inner_iterations for rec in result.records) > 4
+
+
+@pytest.mark.parametrize("scheme, alpha, mu_min, backtracks", [
+    ("hierarchical", 0.6, 1.0, False),
+    ("hierarchical", 0.2, 1.0, True),
+    ("prox_linear", 0.6, 10.0, False),
+    ("prox_linear", 0.6, 1.0, True),
+])
+def test_shared_kernel_reuse_matches_fresh_steps(scheme, alpha, mu_min, backtracks):
+    # solve keeps one kernel and reuses the accepted M V as the next M Y;
+    # step without _kernel forms every product afresh
+    from gsmf.solver import _Kernel
+
+    params = RelaxationParams.from_alpha(alpha)
+    rng = np.random.default_rng(20)
+    B = rng.uniform(size=(25, 3))
+    spec = snmf_spec(B @ B.T + 0.1 * rng.uniform(size=(25, 25)), 3, 1.0)
+    config = SolverConfig(scheme=scheme, max_iters=40, tol=1e-16,
+                          consec_required=41, seed=1, mu_min=mu_min,
+                          sigma_min=mu_min)
+    result = solve(spec, params, config)
+    state = init_state(spec, config)
+    fresh = [step(state, spec, params, config) for _ in range(40)]
+    assert result.records == fresh
+    assert np.array_equal(result.X, state.X) and np.array_equal(result.Y, state.Y)
+    inner = [rec.inner_iterations for rec in fresh]
+    assert (max(inner) > 1) == backtracks
+
+    kern = _Kernel(spec, params, config)
+    state = init_state(spec, config)
+    step(state, spec, params, config, _kernel=kern)
+    assert kern._V is state.Y
+    assert np.array_equal(kern._MV, kern.cache.M @ state.Y)
