@@ -1,9 +1,10 @@
 """Command-line entry point: gen-data, solve, sweep, check.
 
 Runs are driven by a YAML config with dataset / problem / relaxation /
-solver / output sections; flags override file values.  Traces go to CSV
-(one row per accepted outer iteration), summaries and diagnostics to JSON.
-Exit codes: 0 success/converged, 2 budget-limited, 1 error.
+solver / output / sweep sections; a section or field the program does not
+read is an error.  Flags override file values.  Traces go to CSV (one row
+per accepted outer iteration), run summaries and the `check` report to
+JSON.  Exit codes: 0 success/converged, 2 budget-limited, 1 error.
 """
 
 from __future__ import annotations
@@ -49,16 +50,31 @@ def _require(section, key, path):
     return section[key]
 
 
+def _check_fields(section, known, path):
+    """Reject a section that is not a mapping or names a field not in ``known``."""
+    if not isinstance(section, dict):
+        raise ConfigFileError(f"`{path}` must be a mapping")
+    unknown = set(section) - set(known)
+    if unknown:
+        raise ConfigFileError(f"unknown {path} field(s): {sorted(unknown)}")
+    return section
+
+
 def load_config(path):
     with open(path) as fh:
         cfg = yaml.safe_load(fh)
     if not isinstance(cfg, dict):
         raise ConfigFileError(f"config file {path} is not a mapping")
+    _check_fields(cfg, ("dataset", "problem", "relaxation", "solver", "output",
+                        "sweep"), "top-level")
+    _check_fields(cfg.get("output", {}), ("dir",), "output")
     return cfg
 
 
 def build_recipe(cfg, seed_override=None):
-    ds = _require(cfg, "dataset", "dataset")
+    ds = _check_fields(_require(cfg, "dataset", "dataset"),
+                       ("source", "n", "m", "seed", "path", "noise_t",
+                        "normalize", "symmetrize_noise"), "dataset")
     source = ds.get("source", "synthetic")
     return data.DatasetRecipe(
         source=source,
@@ -73,13 +89,15 @@ def build_recipe(cfg, seed_override=None):
 
 
 def build_spec(cfg, M):
-    prob = _require(cfg, "problem", "problem")
+    prob = _check_fields(_require(cfg, "problem", "problem"),
+                         ("rank", "lambda", "psi", "phi", "map"), "problem")
     rank = int(_require(prob, "rank", "problem.rank"))
     lam = float(prob.get("lambda", 0.0))
     psi = regularizers.from_config(prob.get("psi", {"kind": "nonneg"}))
     phi = regularizers.from_config(prob.get("phi", {"kind": "nonneg"}))
     n = M.shape[0]
-    map_cfg = prob.get("map", {"kind": "full"})
+    map_cfg = _check_fields(prob.get("map", {"kind": "full"}),
+                            ("kind", "omega_csv"), "problem.map")
     kind = map_cfg.get("kind", "full")
     if kind == "full":
         amap = operators.FullVectorization(n)
@@ -96,7 +114,8 @@ def build_spec(cfg, M):
 
 
 def build_params(cfg):
-    relax = _require(cfg, "relaxation", "relaxation")
+    relax = _check_fields(_require(cfg, "relaxation", "relaxation"),
+                          ("alpha", "beta", "gamma"), "relaxation")
     alpha = float(_require(relax, "alpha", "relaxation.alpha"))
     if "beta" in relax:
         beta = float(relax["beta"])
@@ -109,19 +128,14 @@ def build_params(cfg):
     return RelaxationParams.from_alpha(alpha, gamma=relax.get("gamma"))
 
 
-def build_solver_config(cfg, seed_override=None, audit=False):
-    sol = dict(cfg.get("solver", {}))
+def build_solver_config(cfg, seed_override=None):
+    sol = dict(_check_fields(cfg.get("solver", {}),
+                             SolverConfig.__dataclass_fields__, "solver"))
     if seed_override is not None:
         sol["seed"] = seed_override
-    known = {f for f in SolverConfig.__dataclass_fields__}
-    unknown = set(sol) - known
-    if unknown:
-        raise ConfigFileError(f"unknown solver field(s): {sorted(unknown)}")
     sol.setdefault("max_time_sec", math.inf)
     if sol.get("max_time_sec") in ("inf", None):
         sol["max_time_sec"] = math.inf
-    if audit:
-        sol["audit"] = True
     return SolverConfig(**sol)
 
 
@@ -143,13 +157,13 @@ def write_trace_csv(path, records):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def run_single(cfg, out_dir, seed=None, audit=False, tag="run"):
+def run_single(cfg, out_dir, seed=None, tag="run"):
     """Solve one configured instance; returns (summary dict, result)."""
     recipe = build_recipe(cfg)
     M = data.gen_data(recipe)
     spec = build_spec(cfg, M)
     params = build_params(cfg)
-    config = build_solver_config(cfg, seed_override=seed, audit=audit)
+    config = build_solver_config(cfg, seed_override=seed)
     t0 = time.perf_counter()
     result = solve(spec, params, config)
     wall = time.perf_counter() - t0
@@ -184,8 +198,6 @@ def run_single(cfg, out_dir, seed=None, audit=False, tag="run"):
 def cmd_gen_data(args):
     cfg = load_config(args.config)
     recipe = build_recipe(cfg, seed_override=args.seed)
-    if args.symmetrize_noise:
-        recipe.symmetrize_noise = True
     M = data.gen_data(recipe)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -199,14 +211,15 @@ def cmd_gen_data(args):
 def cmd_solve(args):
     cfg = load_config(args.config)
     out = args.out or cfg.get("output", {}).get("dir", "out")
-    summary, _ = run_single(cfg, out, seed=args.seed, audit=args.audit)
+    summary, _ = run_single(cfg, out, seed=args.seed)
     print(json.dumps({k: v for k, v in summary.items() if k != "config"}, indent=2))
     return 0 if summary["status"] == STATUS_CONVERGED else 2
 
 
 def _sweep_points(cfg):
     """The cartesian product of every named sweep axis, in SWEEP_AXES order."""
-    sweep = _require(cfg, "sweep", "sweep")
+    sweep = _check_fields(_require(cfg, "sweep", "sweep"), (*SWEEP_AXES, "reps"),
+                          "sweep")
     axes = [axis for axis in SWEEP_AXES if axis in sweep]
     if not axes:
         raise ConfigFileError(f"sweep section names no axis {SWEEP_AXES}")
@@ -361,7 +374,8 @@ def _check_items(cfg):
         M = data.gen_data(recipe)
         spec = build_spec(cfg, M)
         params = build_params(cfg)
-        config = build_solver_config(cfg, audit=True)
+        config = build_solver_config(cfg)
+        config.audit = True
         config.max_iters = min(config.max_iters, 50)
         result = solve(spec, params, config)
         bad = diagnostics.descent_audit(result, spec, params, config)
@@ -399,31 +413,20 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary, seed=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="path to the YAML config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel runs for sweep")
-        p.add_argument("--audit", action="store_true",
-                       help="store per-iteration snapshots for the descent audit")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the seed")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-data", help="materialize the dataset matrix M")
-    common(p)
-    p.add_argument("--symmetrize-noise", action="store_true",
-                   help="symmetrize the additive noise term")
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("solve", help="run one solve and write trace + summary")
-    common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("sweep", help="run a parameter sweep")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("check", help="run the identity/property suite")
-    common(p)
-    p.set_defaults(func=cmd_check)
+    command("gen-data", cmd_gen_data, "materialize the dataset matrix M")
+    command("solve", cmd_solve, "run one solve and write trace + summary")
+    p = command("sweep", cmd_sweep, "run a parameter sweep")
+    p.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
+    command("check", cmd_check, "run the identity/property suite", seed=False)
     return parser
 
 

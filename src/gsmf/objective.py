@@ -103,7 +103,7 @@ def f_lambda(spec: ProblemSpec, X, Y) -> float:
     reg = spec.psi.eval(X) + spec.phi.eval(Y)
     if math.isinf(reg):
         return math.inf
-    resid = spec.map.apply(X @ Y.T) - spec.b
+    resid = spec.map.misfit(X, Y, spec.b)
     val = reg + 0.5 * float(resid @ resid)
     if spec.lam:
         D = X - Y
@@ -130,20 +130,16 @@ def theta(spec: ProblemSpec, params: RelaxationParams, X, Y, Z) -> float:
     return val
 
 
-def z_star(spec: ProblemSpec, params: RelaxationParams, X, Y, out=None):
+def z_star(spec: ProblemSpec, params: RelaxationParams, X, Y):
     """Stationary auxiliary block:
-    ``(I - beta/(alpha+beta) A* A)(X Y^T) + beta/(alpha+beta) A*(b)``.
-
-    ``out`` may supply a reusable (n, n) buffer.
+    ``X Y^T - beta/(alpha+beta) A*(A(X Y^T) - b)``.
     """
     spec.check_shapes(X, Y)
     a, b = params.alpha, params.beta
     if a + b == 0:
         raise ZeroDivisionError("alpha + beta must be nonzero")
-    c = b / (a + b)
-    P = np.matmul(X, Y.T, out=out)
-    Z = P - c * spec.map.gram_apply(P)
-    Z += c * spec.map.adjoint(spec.b)
+    Z = X @ Y.T
+    Z -= spec.map.adjoint((b / (a + b)) * (spec.map.apply(Z) - spec.b))
     return Z
 
 
@@ -165,22 +161,19 @@ class GramCache:
     """Gram-product cache for the symmetric-NMF fast path.
 
     Holds the small products needed to evaluate the objective without
-    forming U V^T.  ``refresh`` advances a version counter; readers must
-    pass the version they expect so staleness is an error, not a silent
-    wrong answer.
+    forming U V^T.
     """
 
     def __init__(self, M):
         self.M = np.asarray(M, dtype=float)
         self.normM2 = float(np.sum(self.M * self.M))
-        self.version = 0
         self.UtU = None
         self.VtV = None
         self.MtU = None
         self.UtV = None
 
     def refresh(self, U, V, MtU):
-        """Store the products for the pair (U, V); returns the new version.
+        """Store the products for the pair (U, V).
 
         ``MtU`` is ``M^T U``, which the caller has already formed.
         """
@@ -188,20 +181,14 @@ class GramCache:
         self.VtV = V.T @ V
         self.MtU = MtU
         self.UtV = U.T @ V
-        self.version += 1
-        return self.version
 
 
-def snmf_objective_cached(cache: GramCache, spec: ProblemSpec, U, V, lam,
-                          version=None) -> float:
+def snmf_objective_cached(cache: GramCache, spec: ProblemSpec, U, V,
+                          lam) -> float:
     """Objective via the trace identity
     ``||U V^T - M||_F^2 = tr((U^T U)(V^T V)) - 2 tr((M^T U) V) + ||M||_F^2``,
     never forming U V^T.
     """
-    if version is not None and version != cache.version:
-        raise RuntimeError(
-            f"stale GramCache: have version {cache.version}, expected {version}"
-        )
     reg = spec.psi.eval(U) + spec.phi.eval(V)
     if math.isinf(reg):
         return math.inf

@@ -40,6 +40,11 @@ class LinearMap:
         self._check_matrix(U)
         return self.adjoint(self.apply(U))
 
+    def misfit(self, X, Y, b):
+        """The misfit ``A(X Y^T) - b``, from which the objective, ``z_star``
+        and the gradients are all built."""
+        return self.apply(X @ Y.T) - b
+
     def misfit_products(self, X, Y, b):
         """``(G Y, G^T X)`` for the misfit ``G = A*(A(X Y^T) - b)``.
 
@@ -47,7 +52,7 @@ class LinearMap:
         This dense version forms G and is the reference the subclasses
         must match without any n-by-n work.
         """
-        G = self.adjoint(self.apply(X @ Y.T) - b)
+        G = self.adjoint(self.misfit(X, Y, b))
         return G @ Y, G.T @ X
 
     def shifted_inverse_apply(self, alpha, beta, W):
@@ -98,10 +103,6 @@ class FullVectorization(LinearMap):
         v = self._check_vector(v)
         return v.reshape((self.n, self.n), order="F")
 
-    def gram_apply(self, U):
-        U = self._check_matrix(U)
-        return U.copy()
-
     def misfit_products(self, X, Y, b):
         """Gram identities ``G Y = X (Y^T Y) - M Y`` and
         ``G^T X = Y (X^T X) - M^T X``, with ``M = A*(b)``."""
@@ -138,13 +139,9 @@ class SymmetricSampling(LinearMap):
         for i, j in pairs:
             if (j, i) not in have:
                 raise ValueError(f"Omega is not symmetric: ({i},{j}) without ({j},{i})")
-        self.omega = tuple(pairs)
         self.q = len(pairs)
         self._rows = np.array([i - 1 for i, _ in pairs])
         self._cols = np.array([j - 1 for _, j in pairs])
-        mask = np.zeros((n, n), dtype=bool)
-        mask[self._rows, self._cols] = True
-        self._mask = mask
         # Omega is sorted column first, so it is already in CSC order
         self._colptr = np.searchsorted(self._cols, np.arange(self.n + 1))
 
@@ -158,16 +155,16 @@ class SymmetricSampling(LinearMap):
         out[self._rows, self._cols] = v
         return out
 
-    def gram_apply(self, U):
-        U = self._check_matrix(U)
-        return np.where(self._mask, U, 0.0)
-
-    def misfit_products(self, X, Y, b):
-        """G is |Omega|-sparse with entries ``<X_i, Y_j> - b`` on Omega, so
-        both products cost O(|Omega| r) and need no n-by-n memory."""
+    def misfit(self, X, Y, b):
+        """``<X_i, Y_j> - b`` on Omega: O(|Omega| r), no n-by-n memory."""
         vals = np.einsum("ij,ij->i", X[self._rows], Y[self._cols])
         vals -= self._check_vector(b)
-        G = sparse.csc_array((vals, self._rows, self._colptr),
+        return vals
+
+    def misfit_products(self, X, Y, b):
+        """G is |Omega|-sparse with the misfit on Omega, so both products
+        cost O(|Omega| r) and need no n-by-n memory."""
+        G = sparse.csc_array((self.misfit(X, Y, b), self._rows, self._colptr),
                              shape=(self.n, self.n))
         return G @ Y, G.T @ X
 
@@ -206,12 +203,16 @@ def random_symmetric_omega(n, density, rng):
     Returned pairs are 1-based and canonically sorted (column-major), so
     they can be fed directly to :class:`SymmetricSampling`.
     """
-    pairs = set()
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if rng.random() < density:
-                pairs.add((i, j))
-                pairs.add((j, i))
-    if not pairs:
-        pairs = {(1, 1)}
-    return sorted(pairs, key=lambda p: (p[1], p[0]))
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    # one draw per upper-triangle entry, row by row: the stream of a
+    # pairwise loop over i <= j, without its n^2 / 2 Python calls
+    upper = [np.flatnonzero(rng.random(n - i) < density) + i for i in range(n)]
+    rows = np.repeat(np.arange(1, n + 1), [len(js) for js in upper])
+    cols = np.concatenate(upper) + 1
+    off = rows != cols
+    rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+    if rows.size == 0:
+        return [(1, 1)]
+    order = np.lexsort((rows, cols))
+    return list(zip(rows[order].tolist(), cols[order].tolist()))

@@ -187,12 +187,8 @@ class _Kernel:
         self.bz = b / (a + b)
         # M V for the last accepted V, which the next begin_outer reuses as M Y
         self._V = self._MV = None
-        if isinstance(spec.map, FullVectorization):
-            self.cache = GramCache(spec.map.adjoint(spec.b))
-            self._zbuf = None
-        else:
-            self.cache = None
-            self._zbuf = np.empty((spec.n, spec.n))
+        self.cache = (GramCache(spec.map.adjoint(spec.b))
+                      if isinstance(spec.map, FullVectorization) else None)
         if config.scheme == "proximal" and not (
             isinstance(spec.psi, Zero) and isinstance(spec.phi, Zero)
         ):
@@ -217,7 +213,7 @@ class _Kernel:
             MY = self._MV if Y is self._V else self.cache.M @ Y
             self.ZY = self.az * (X @ self.Gy) + self.bz * MY
         else:
-            self.Z = (z_star(self.spec, self.params, X, Y, out=self._zbuf)
+            self.Z = (z_star(self.spec, self.params, X, Y)
                       if Z is None else np.asarray(Z, dtype=float))
             self.ZY = self.Z @ Y
         self.ynorm2 = spectral_norm_sq(Y)
@@ -306,9 +302,7 @@ class _Kernel:
                 + 2.0 * abs(float(np.sum(cache.MtU * V)))
                 + cache.normM2
             )
-            val = snmf_objective_cached(
-                cache, self.spec, U, V, self.spec.lam, version=cache.version
-            )
+            val = snmf_objective_cached(cache, self.spec, U, V, self.spec.lam)
             if abs(val) > 1e5 * _EPS * scale:
                 self.f_err = 64.0 * _EPS * scale
                 return val

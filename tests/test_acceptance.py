@@ -6,6 +6,7 @@ numerical tolerance and the runtime budget of its criterion.
 """
 
 import copy
+import math
 import time
 
 import numpy as np
@@ -34,7 +35,7 @@ from gsmf.diagnostics import (
 )
 from gsmf.objective import ProblemSpec, f_lambda, relobj, z_star
 from gsmf.regularizers import Zero
-from gsmf.solver import inner_iteration_budget, spectral_norm_sq
+from gsmf.solver import _escalations, inner_iteration_budget, spectral_norm_sq
 
 ALPHAS = (0.2, 0.6, 0.8, 2.0)
 SCHEMES = ("proximal", "prox_linear", "hierarchical")
@@ -182,6 +183,10 @@ def test_05_inner_iteration_budget(capsys, seeded_runs):
             for rec in result.records:
                 mu_max = coef * spectral_norm_sq(Y_prev) + config.c
                 budget = inner_iteration_budget(mu_max, config.mu_min, config.tau)
+                if not math.isnan(rec.sigma_max):
+                    # once mu is capped, step also allows the sigma escalations
+                    budget += _escalations(config.sigma_min, rec.sigma_max,
+                                           config.tau)
                 if rec.inner_iterations > budget:
                     problems.append(
                         f"{scheme} seed {config.seed} iter {rec.k}: "

@@ -162,6 +162,29 @@ def test_cli_solve_unknown_solver_field(tmp_path, capsys):
     assert "step_size" in capsys.readouterr().err
 
 
+def test_cli_solve_rejects_jobs_flag(tmp_path, capsys):
+    # only sweep runs points in parallel; solve must not accept and ignore it
+    cfg_path = write_config(tmp_path, base_config())
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", cfg_path, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, name", [
+    ("problem.lamda", 1.0, "lamda"),
+    ("dataset.nosie_t", 0.1, "nosie_t"),
+    ("relaxation.gama", 0.0, "gama"),
+    ("solvers", {"tol": 1e-9}, "solvers"),
+])
+def test_cli_solve_unknown_config_key_names_it(tmp_path, capsys, key, value, name):
+    cfg_path = write_config(tmp_path, base_config(**{key: value}))
+    code = main(["solve", "--config", cfg_path, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_solve_sampling_map(tmp_path, capsys):
     from gsmf.operators import random_symmetric_omega
 

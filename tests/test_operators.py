@@ -201,8 +201,30 @@ def test_load_omega_csv_roundtrip(tmp_path):
     SymmetricSampling(2, load_omega_csv(path))
 
 
+def _pairwise_omega(n, density, rng):
+    """Reference draw: one rng.random() per pair i <= j, in row order."""
+    pairs = set()
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            if rng.random() < density:
+                pairs.update({(i, j), (j, i)})
+    return sorted(pairs or {(1, 1)}, key=lambda p: (p[1], p[0]))
+
+
+@pytest.mark.parametrize("n, density", [(1, 0.5), (2, 0.9), (6, 0.4), (50, 0.1),
+                                        (300, 0.01), (5, 0.0), (7, 1.0)])
+def test_random_symmetric_omega_matches_pairwise_draw(n, density):
+    for seed in range(3):
+        got = random_symmetric_omega(n, density, np.random.default_rng(seed))
+        want = _pairwise_omega(n, density, np.random.default_rng(seed))
+        assert got == want
+        assert all(type(k) is int for pair in got for k in pair)
+
+
 def test_random_symmetric_omega_is_valid():
     rng = np.random.default_rng(5)
     omega = random_symmetric_omega(10, 0.2, rng)
     amap = SymmetricSampling(10, omega)  # constructor enforces the contract
     assert amap.q == len(omega)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        random_symmetric_omega(0, 0.5, rng)

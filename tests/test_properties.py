@@ -1,4 +1,5 @@
-"""Property tests: each map's misfit products against the dense oracle."""
+"""Property tests: each map's misfit and misfit products against the dense
+oracle."""
 
 import numpy as np
 import pytest
@@ -21,6 +22,10 @@ def _assert_matches_oracle(amap, rng, r):
     n = amap.n
     X, Y = rng.standard_normal((n, r)), rng.standard_normal((n, r))
     b = rng.standard_normal(amap.q)
+    misfit = amap.misfit(X, Y, b)
+    assert misfit.shape == (amap.q,)
+    np.testing.assert_allclose(misfit, amap.apply(X @ Y.T) - b,
+                               rtol=1e-12, atol=1e-12)
     got = amap.misfit_products(X, Y, b)
     want = LinearMap.misfit_products(amap, X, Y, b)
     for g, w in zip(got, want):

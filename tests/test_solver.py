@@ -13,6 +13,7 @@ from gsmf.solver import (
     STATUS_ITER_LIMIT,
     STATUS_TIME_LIMIT,
     SolverConfig,
+    _escalations,
     init_state,
     inner_iteration_budget,
     reference_value_update,
@@ -256,17 +257,26 @@ def test_average_mode_reference_is_monotone_and_dominates_f():
         prev_R = rec.ref_value
 
 
+def budget_bound(rec, config):
+    """Most inner iterations an audited step may take: the mu-only budget,
+    plus the sigma escalations from sigma_min once mu reached its cap."""
+    bound = inner_iteration_budget(rec.mu_max, config.mu_min, config.tau)
+    if not math.isnan(rec.sigma_max):
+        bound += _escalations(config.sigma_min, rec.sigma_max, config.tau)
+    return bound
+
+
 def test_inner_iterations_respect_budget():
     spec, _ = planted(15, 3, 4)
     params = RelaxationParams.from_alpha(0.2)
-    config = SolverConfig(max_iters=60)
+    config = SolverConfig(max_iters=60, audit=True)
     state = init_state(spec, config)
     coef = params.alpha + 2.0 * params.gamma * params.rho
     for _ in range(60):
         mu_max = coef * spectral_norm_sq(state.Y) + config.c
-        budget = inner_iteration_budget(mu_max, config.mu_min, config.tau)
         rec = step(state, spec, params, config)
-        assert rec.inner_iterations <= budget
+        assert rec.mu_max == mu_max
+        assert rec.inner_iterations <= budget_bound(rec, config)
 
 
 def test_max_mode_reference_matches_windowed_max():
@@ -436,12 +446,20 @@ def test_prox_linear_budget_covers_sigma_escalations():
                                symmetrize_noise=True))
     spec = snmf_spec(M, 10, 1.0)
     params = RelaxationParams.from_alpha(0.6)
+    beyond_mu_budget = 0
     for seed in range(8):
-        result = solve(spec, params,
-                       SolverConfig(scheme="prox_linear", max_iters=30, seed=seed))
+        config = SolverConfig(scheme="prox_linear", max_iters=30, seed=seed,
+                              audit=True)
+        result = solve(spec, params, config)
         assert result.status == STATUS_ITER_LIMIT
         assert len(result.records) == 30
         assert max(rec.inner_iterations for rec in result.records) > 4
+        for rec in result.records:
+            assert rec.inner_iterations <= budget_bound(rec, config)
+            beyond_mu_budget += rec.inner_iterations > inner_iteration_budget(
+                rec.mu_max, config.mu_min, config.tau)
+    # the sigma term is what covers these steps, so the bound is not vacuous
+    assert beyond_mu_budget > 0
 
 
 @pytest.mark.parametrize("scheme, alpha, mu_min, backtracks", [
