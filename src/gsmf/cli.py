@@ -88,13 +88,20 @@ def build_recipe(cfg, seed_override=None):
     )
 
 
+def _regularizer(prob, key):
+    try:
+        return regularizers.from_config(prob.get(key, {"kind": "nonneg"}))
+    except ValueError as exc:
+        raise ConfigFileError(f"problem.{key}: {exc}") from exc
+
+
 def build_spec(cfg, M):
     prob = _check_fields(_require(cfg, "problem", "problem"),
                          ("rank", "lambda", "psi", "phi", "map"), "problem")
     rank = int(_require(prob, "rank", "problem.rank"))
     lam = float(prob.get("lambda", 0.0))
-    psi = regularizers.from_config(prob.get("psi", {"kind": "nonneg"}))
-    phi = regularizers.from_config(prob.get("phi", {"kind": "nonneg"}))
+    psi = _regularizer(prob, "psi")
+    phi = _regularizer(prob, "phi")
     n = M.shape[0]
     map_cfg = _check_fields(prob.get("map", {"kind": "full"}),
                             ("kind", "omega_csv"), "problem.map")

@@ -139,7 +139,7 @@ def z_star(spec: ProblemSpec, params: RelaxationParams, X, Y):
     if a + b == 0:
         raise ZeroDivisionError("alpha + beta must be nonzero")
     Z = X @ Y.T
-    Z -= spec.map.adjoint((b / (a + b)) * (spec.map.apply(Z) - spec.b))
+    spec.map.subtract_adjoint(Z, (b / (a + b)) * (spec.map.apply(Z) - spec.b))
     return Z
 
 

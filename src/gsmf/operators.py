@@ -19,6 +19,12 @@ class DimensionMismatchError(ValueError):
     """An input matrix or vector does not match the map's shapes."""
 
 
+def _mul_thin(A, W):
+    """``A @ W`` for n-by-n A and n-by-r W as ``(W^T A^T)^T``: with the thin
+    operand on the left OpenBLAS runs it up to 2x faster, A in C or F order."""
+    return np.ascontiguousarray((W.T @ A.T).T)
+
+
 class LinearMap:
     """Base class for linear maps R^{n x n} -> R^q with A A* = I_q.
 
@@ -39,6 +45,10 @@ class LinearMap:
         """Compute ``A* A (U)``."""
         self._check_matrix(U)
         return self.adjoint(self.apply(U))
+
+    def subtract_adjoint(self, Z, v):
+        """``Z -= A*(v)`` in place."""
+        Z -= self.adjoint(v)
 
     def misfit(self, X, Y, b):
         """The misfit ``A(X Y^T) - b``, from which the objective, ``z_star``
@@ -107,7 +117,7 @@ class FullVectorization(LinearMap):
         """Gram identities ``G Y = X (Y^T Y) - M Y`` and
         ``G^T X = Y (X^T X) - M^T X``, with ``M = A*(b)``."""
         M = self.adjoint(b)
-        return X @ (Y.T @ Y) - M @ Y, Y @ (X.T @ X) - M.T @ X
+        return X @ (Y.T @ Y) - _mul_thin(M, Y), Y @ (X.T @ X) - _mul_thin(M.T, X)
 
 
 class SymmetricSampling(LinearMap):
@@ -147,7 +157,7 @@ class SymmetricSampling(LinearMap):
 
     def apply(self, U):
         U = self._check_matrix(U)
-        return U[self._rows, self._cols].copy()
+        return U[self._rows, self._cols]
 
     def adjoint(self, v):
         v = self._check_vector(v)
@@ -155,9 +165,14 @@ class SymmetricSampling(LinearMap):
         out[self._rows, self._cols] = v
         return out
 
+    def subtract_adjoint(self, Z, v):
+        """``Z -= A*(v)`` on Omega alone (exact: no duplicates), no n-by-n temporary."""
+        Z[self._rows, self._cols] -= self._check_vector(v)
+
     def misfit(self, X, Y, b):
         """``<X_i, Y_j> - b`` on Omega: O(|Omega| r), no n-by-n memory."""
-        vals = np.einsum("ij,ij->i", X[self._rows], Y[self._cols])
+        vals = np.einsum("ij,ij->i", X.take(self._rows, axis=0),
+                         Y.take(self._cols, axis=0))
         vals -= self._check_vector(b)
         return vals
 

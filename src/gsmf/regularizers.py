@@ -114,20 +114,27 @@ class NonnegPlusL1(Regularizer):
 
 
 _KINDS = {
-    "zero": lambda params: Zero(),
-    "nonneg": lambda params: NonnegIndicator(),
-    "l1": lambda params: L1(params.get("weight", 1.0)),
-    "nonneg_l1": lambda params: NonnegPlusL1(params.get("weight", 1.0)),
+    "zero": (Zero, ()),
+    "nonneg": (NonnegIndicator, ()),
+    "l1": (L1, ("weight",)),
+    "nonneg_l1": (NonnegPlusL1, ("weight",)),
 }
 
 
 def from_config(cfg) -> Regularizer:
-    """Build a regularizer from a config mapping like {kind: l1, weight: 0.5}."""
+    """Build a regularizer from a config mapping like {kind: l1, weight: 0.5};
+    ``weight`` defaults to 1, and a field the kind does not take is an error."""
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a regularizer is a kind name or a mapping, got {cfg!r}")
     kind = cfg.get("kind")
     if kind not in _KINDS:
         raise ValueError(
             f"unknown regularizer kind {kind!r}; choose from {sorted(_KINDS)}"
         )
-    return _KINDS[kind]({k: v for k, v in cfg.items() if k != "kind"})
+    cls, fields = _KINDS[kind]
+    unknown = sorted(set(cfg) - {"kind", *fields})
+    if unknown:
+        raise ValueError(f"regularizer kind {kind!r} takes no field(s) {unknown}")
+    return cls(*(cfg.get(name, 1.0) for name in fields))

@@ -29,7 +29,7 @@ from .objective import (
     snmf_objective_cached,
     z_star,
 )
-from .operators import FullVectorization
+from .operators import FullVectorization, _mul_thin
 from .regularizers import Zero
 
 SCHEMES = ("proximal", "prox_linear", "hierarchical")
@@ -173,7 +173,8 @@ class _Kernel:
     Works on a materialized Z when one is given or the map is general; for
     the full-vectorization (symmetric NMF) case without a given Z it works
     matrix-free through the target M and the Gram cache, never forming
-    X Y^T or Z.
+    X Y^T or Z.  Every n-by-n times n-by-r product (most of the time of an
+    outer iteration) goes through ``_mul_thin``, its fastest orientation.
     """
 
     def __init__(self, spec: ProblemSpec, params: RelaxationParams,
@@ -187,6 +188,7 @@ class _Kernel:
         self.bz = b / (a + b)
         # M V for the last accepted V, which the next begin_outer reuses as M Y
         self._V = self._MV = None
+        self._U = self._ZtU = None  # sigma-only retries reuse the last Z^T U
         self.cache = (GramCache(spec.map.adjoint(spec.b))
                       if isinstance(spec.map, FullVectorization) else None)
         if config.scheme == "proximal" and not (
@@ -207,15 +209,16 @@ class _Kernel:
         self.X = X
         self.Y = Y
         self.Gy = Y.T @ Y
+        self._U = None
         if Z is None and self.cache is not None:
             # Z Y without forming Z:  Z = az * X Y^T + bz * M
             self.Z = None
-            MY = self._MV if Y is self._V else self.cache.M @ Y
+            MY = self._MV if Y is self._V else _mul_thin(self.cache.M, Y)
             self.ZY = self.az * (X @ self.Gy) + self.bz * MY
         else:
             self.Z = (z_star(self.spec, self.params, X, Y)
                       if Z is None else np.asarray(Z, dtype=float))
-            self.ZY = self.Z @ Y
+            self.ZY = _mul_thin(self.Z, Y)
         self.ynorm2 = spectral_norm_sq(Y)
 
     # -- blocks -------------------------------------------------------------
@@ -224,12 +227,14 @@ class _Kernel:
         return self._block("U", self.spec.psi, self.X, self.Y, self.Gy, self.ZY, mu)
 
     def update_v(self, U, sigma):
-        if self.Z is None:
-            self._MtU = self.cache.M.T @ U
-            ZtU = self.az * (self.Y @ (self.X.T @ U)) + self.bz * self._MtU
-        else:
-            ZtU = self.Z.T @ U
-        return self._block("V", self.spec.phi, self.Y, U, U.T @ U, ZtU, sigma)
+        if U is not self._U:
+            self._U = U
+            if self.Z is None:
+                self._MtU = _mul_thin(self.cache.M.T, U)
+                self._ZtU = self.az * (self.Y @ (self.X.T @ U)) + self.bz * self._MtU
+            else:
+                self._ZtU = _mul_thin(self.Z.T, U)
+        return self._block("V", self.spec.phi, self.Y, U, U.T @ U, self._ZtU, sigma)
 
     def _block(self, name, reg, prev, other, G, ZO, step):
         """One block update; U and V are the same subproblem with roles swapped.
@@ -278,7 +283,7 @@ class _Kernel:
         if self.Z is not None:
             return None
         cache = self.cache
-        self._V, self._MV = V, cache.M @ V
+        self._V, self._MV = V, _mul_thin(cache.M, V)
         D = self.spec.lam * (U - V)
         return U @ cache.VtV - self._MV + D, V @ cache.UtU - cache.MtU - D
 

@@ -176,6 +176,8 @@ def test_cli_solve_rejects_jobs_flag(tmp_path, capsys):
     ("dataset.nosie_t", 0.1, "nosie_t"),
     ("relaxation.gama", 0.0, "gama"),
     ("solvers", {"tol": 1e-9}, "solvers"),
+    ("problem.psi", {"kind": "l1", "wieght": 2.0}, "problem.psi"),
+    ("problem.phi", {"kind": "nonneg", "weight": 2.0}, "problem.phi"),
 ])
 def test_cli_solve_unknown_config_key_names_it(tmp_path, capsys, key, value, name):
     cfg_path = write_config(tmp_path, base_config(**{key: value}))

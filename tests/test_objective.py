@@ -242,6 +242,27 @@ def test_sampling_map_objective_needs_no_dense_memory():
     assert f_peak < n * n // 4
 
 
+def test_z_star_on_sampling_map_needs_one_dense_array():
+    # Z is one n-by-n array of 8 n^2 bytes; the correction on Omega must
+    # not scatter A*(v) into a second one
+    n, r = 2000, 5
+    rng = np.random.default_rng(19)
+    amap = SymmetricSampling(n, random_symmetric_omega(n, 0.001, rng))
+    spec = ProblemSpec(amap, rng.uniform(size=amap.q), Zero(), Zero(), 1.0,
+                       n=n, r=r)
+    X, Y = rng.uniform(size=(n, r)), rng.uniform(size=(n, r))
+    params = RelaxationParams.from_alpha(0.6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        Z = z_star(spec, params, X, Y)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert Z.shape == (n, n)
+    assert peak < 1.2 * 8 * n * n
+
+
 def test_relaxation_identity_over_grid():
     rng = np.random.default_rng(10)
     omega = random_symmetric_omega(6, 0.4, rng)

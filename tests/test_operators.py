@@ -5,6 +5,7 @@ from gsmf.operators import (
     DimensionMismatchError,
     FullVectorization,
     SymmetricSampling,
+    _mul_thin,
     gamma_min,
     load_omega_csv,
     random_symmetric_omega,
@@ -228,3 +229,16 @@ def test_random_symmetric_omega_is_valid():
     assert amap.q == len(omega)
     with pytest.raises(ValueError, match="n must be >= 1"):
         random_symmetric_omega(0, 0.5, rng)
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (20, 3), (60, 4), (100, 10), (300, 5),
+                                  (500, 20)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_mul_thin_matches_matmul(n, r, order):
+    # F order covers the transposed views (M^T, Z^T) the kernel passes
+    rng = np.random.default_rng(n + r)
+    A = np.asarray(rng.standard_normal((n, n)), order=order)
+    W = rng.standard_normal((n, r))
+    got, want = _mul_thin(A, W), A @ W
+    assert got.shape == (n, r) and got.flags.c_contiguous
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)

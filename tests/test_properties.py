@@ -1,5 +1,5 @@
-"""Property tests: each map's misfit and misfit products against the dense
-oracle."""
+"""Property tests: each map's misfit, misfit products and in-place adjoint
+correction against the dense oracle."""
 
 import numpy as np
 import pytest
@@ -46,3 +46,25 @@ def test_sampling_map_misfit_products_match_dense_oracle(n, r, seed, density):
     rng = np.random.default_rng(seed)
     amap = SymmetricSampling(n, random_symmetric_omega(n, density, rng))
     _assert_matches_oracle(amap, rng, r)
+
+
+def _assert_subtract_adjoint_exact(amap, rng):
+    Z = rng.standard_normal((amap.n, amap.n))
+    v = rng.standard_normal(amap.q)
+    want = Z - amap.adjoint(v)
+    amap.subtract_adjoint(Z, v)
+    assert Z.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=sizes, seed=seeds)
+def test_full_map_subtract_adjoint_is_exact(n, seed):
+    _assert_subtract_adjoint_exact(FullVectorization(n), np.random.default_rng(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=sizes, seed=seeds, density=st.floats(min_value=0.05, max_value=1.0))
+def test_sampling_map_subtract_adjoint_is_exact(n, seed, density):
+    rng = np.random.default_rng(seed)
+    amap = SymmetricSampling(n, random_symmetric_omega(n, density, rng))
+    _assert_subtract_adjoint_exact(amap, rng)

@@ -115,3 +115,16 @@ def test_from_config():
     assert from_config({"kind": "nonneg_l1", "weight": 2.0}) == NonnegPlusL1(2.0)
     with pytest.raises(ValueError, match="unknown regularizer"):
         from_config({"kind": "scad"})
+    assert from_config({"kind": "l1"}) == L1(1.0)
+    with pytest.raises(ValueError, match="mapping"):
+        from_config(["l1"])
+
+
+def test_from_config_rejects_misspelled_weight():
+    with pytest.raises(ValueError, match="wieght"):
+        from_config({"kind": "l1", "wieght": 2})
+
+
+def test_from_config_rejects_weight_on_unweighted_kind():
+    with pytest.raises(ValueError, match="weight"):
+        from_config({"kind": "nonneg", "weight": 2})

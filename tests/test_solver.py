@@ -493,3 +493,57 @@ def test_shared_kernel_reuse_matches_fresh_steps(scheme, alpha, mu_min, backtrac
     step(state, spec, params, config, _kernel=kern)
     assert kern._V is state.Y
     assert np.array_equal(kern._MV, kern.cache.M @ state.Y)
+
+
+@pytest.mark.parametrize("sampling", [False, True])
+def test_sigma_only_retries_reuse_the_u_product(monkeypatch, sampling):
+    # once mu is at its cap only sigma escalates and U stays the same, so
+    # update_v forms M^T U (or Z^T U) once per U, not once per retry
+    from gsmf import operators, solver as solver_mod
+    from gsmf.data import DatasetRecipe, gen_data
+    from gsmf.objective import ProblemSpec
+
+    n = 60 if sampling else 40
+    M = gen_data(DatasetRecipe("synthetic", n=n, m=3, seed=1, noise_t=0.01,
+                               symmetrize_noise=True))
+    if sampling:
+        amap = operators.SymmetricSampling(n, operators.random_symmetric_omega(
+            n, 0.5, np.random.default_rng(2)))
+        spec = ProblemSpec(amap, amap.apply(M), NonnegIndicator(),
+                           NonnegIndicator(), 1.0, n=n, r=3)
+    else:
+        spec = snmf_spec(M, 3, 1.0)
+    params = RelaxationParams.from_alpha(0.6)
+    config = SolverConfig(scheme="prox_linear", max_iters=30, seed=0)
+
+    kernel = solver_mod._Kernel
+    update_u, update_v, mul_thin = kernel.update_u, kernel.update_v, solver_mod._mul_thin
+    us, v_calls, u_products = [], [0], [0]
+
+    def spy_update_u(self, mu):
+        us.append(update_u(self, mu))
+        return us[-1]
+
+    def spy_update_v(self, U, sigma):
+        v_calls[0] += 1
+        return update_v(self, U, sigma)
+
+    def spy_mul_thin(A, W):
+        u_products[0] += any(W is U for U in us)
+        return mul_thin(A, W)
+
+    monkeypatch.setattr(kernel, "update_u", spy_update_u)
+    monkeypatch.setattr(kernel, "update_v", spy_update_v)
+    monkeypatch.setattr(solver_mod, "_mul_thin", spy_mul_thin)
+    reused = solve(spec, params, config)
+    assert v_calls[0] > len(us)  # some retries escalated sigma alone
+    assert u_products[0] == len(us)
+
+    def fresh_update_v(self, U, sigma):
+        self._U = None
+        return update_v(self, U, sigma)
+
+    monkeypatch.setattr(kernel, "update_v", fresh_update_v)
+    fresh = solve(spec, params, config)
+    assert reused.records == fresh.records
+    assert np.array_equal(reused.X, fresh.X) and np.array_equal(reused.Y, fresh.Y)
