@@ -32,14 +32,15 @@ class DiagnosticsReport:
         return asdict(self)
 
 
-def gradients(spec: ProblemSpec, X, Y):
+def gradients(spec: ProblemSpec, X, Y, misfit=None):
     """Partial gradients of the smooth part of the objective.
 
     The misfit products come from the map: Gram products on the full map,
     sparse products on the sampling map, never an n-by-n matrix.
+    ``misfit`` may supply ``spec.map.misfit(X, Y, spec.b)``.
     """
     spec.check_shapes(X, Y)
-    GY, GtX = spec.map.misfit_products(X, Y, spec.b)
+    GY, GtX = spec.map.misfit_products(X, Y, spec.b, misfit=misfit)
     D = spec.lam * (X - Y)
     return GY + D, GtX - D
 

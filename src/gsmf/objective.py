@@ -97,13 +97,17 @@ class RelaxationParams:
                    rho=operators.rho(alpha, beta))
 
 
-def f_lambda(spec: ProblemSpec, X, Y) -> float:
-    """Objective: Psi(X) + Phi(Y) + 0.5 ||A(X Y^T) - b||^2 + lam/2 ||X - Y||_F^2."""
+def f_lambda(spec: ProblemSpec, X, Y, misfit=None) -> float:
+    """Objective: Psi(X) + Phi(Y) + 0.5 ||A(X Y^T) - b||^2 + lam/2 ||X - Y||_F^2.
+
+    ``misfit`` may supply ``spec.map.misfit(X, Y, spec.b)`` when the caller
+    has it.
+    """
     spec.check_shapes(X, Y)
     reg = spec.psi.eval(X) + spec.phi.eval(Y)
     if math.isinf(reg):
         return math.inf
-    resid = spec.map.misfit(X, Y, spec.b)
+    resid = spec.map.misfit(X, Y, spec.b) if misfit is None else misfit
     val = reg + 0.5 * float(resid @ resid)
     if spec.lam:
         D = X - Y

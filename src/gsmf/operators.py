@@ -10,9 +10,14 @@ inverse ``(alpha I + beta A* A)^{-1}`` and for the scalars ``rho`` and
 from __future__ import annotations
 
 import csv
+import itertools
 
 import numpy as np
 from scipy import sparse
+
+
+# uniforms per rng.random call of random_symmetric_omega (512 KB of float64)
+_DRAW_BLOCK = 1 << 16
 
 
 class DimensionMismatchError(ValueError):
@@ -55,14 +60,15 @@ class LinearMap:
         and the gradients are all built."""
         return self.apply(X @ Y.T) - b
 
-    def misfit_products(self, X, Y, b):
+    def misfit_products(self, X, Y, b, misfit=None):
         """``(G Y, G^T X)`` for the misfit ``G = A*(A(X Y^T) - b)``.
 
         These are the gradients of ``1/2 ||A(X Y^T) - b||^2`` in X and Y.
+        ``misfit`` may supply ``misfit(X, Y, b)`` when the caller has it.
         This dense version forms G and is the reference the subclasses
         must match without any n-by-n work.
         """
-        G = self.adjoint(self.misfit(X, Y, b))
+        G = self.adjoint(self.misfit(X, Y, b) if misfit is None else misfit)
         return G @ Y, G.T @ X
 
     def shifted_inverse_apply(self, alpha, beta, W):
@@ -113,9 +119,17 @@ class FullVectorization(LinearMap):
         v = self._check_vector(v)
         return v.reshape((self.n, self.n), order="F")
 
-    def misfit_products(self, X, Y, b):
+    def misfit(self, X, Y, b):
+        """``vec_F(X Y^T) - b``, read as ``vec_C(Y X^T) - b`` without a
+        transposing copy of the n-by-n product."""
+        R = (Y @ X.T).reshape(-1)
+        R -= self._check_vector(b)
+        return R
+
+    def misfit_products(self, X, Y, b, misfit=None):
         """Gram identities ``G Y = X (Y^T Y) - M Y`` and
-        ``G^T X = Y (X^T X) - M^T X``, with ``M = A*(b)``."""
+        ``G^T X = Y (X^T X) - M^T X``, with ``M = A*(b)``; they need no
+        misfit, so a given one is ignored."""
         M = self.adjoint(b)
         return X @ (Y.T @ Y) - _mul_thin(M, Y), Y @ (X.T @ X) - _mul_thin(M.T, X)
 
@@ -127,47 +141,72 @@ class SymmetricSampling(LinearMap):
     whenever it contains (i, j), hold no duplicates, and be sorted
     lexicographically with the column index taking priority over the row
     index.  A set violating any of these is rejected rather than repaired.
+    The map keeps Omega as index arrays: the 0-based rows and columns for the
+    factor gathers of ``misfit``, and the C-order flat index ``i n + j`` for
+    ``apply``, ``adjoint`` and ``subtract_adjoint``.
     """
 
     def __init__(self, n, omega):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        self.n = int(n)
-        pairs = [(int(i), int(j)) for i, j in omega]
-        if not pairs:
+        self.n = n = int(n)
+        omega = list(omega)
+        if not omega:
             raise ValueError("Omega must be nonempty")
-        for i, j in pairs:
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"index pair {(i, j)} out of range for n={n}")
-        if len(set(pairs)) != len(pairs):
-            raise ValueError("Omega contains duplicate pairs")
-        if pairs != sorted(pairs, key=lambda p: (p[1], p[0])):
+        # every check is one array operation on the pairs read into one flat
+        # float array; the Python loop of _first_malformed runs on error only
+        try:
+            pairs = np.fromiter(map(len, omega), dtype=np.intp, count=len(omega))
+            ij = np.fromiter(itertools.chain.from_iterable(omega), dtype=float)
+            whole = (np.all(pairs == 2) and np.all(np.isfinite(ij))
+                     and np.all(np.trunc(ij) == ij))
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise ValueError(f"Omega entry {_first_malformed(omega)!r} is not "
+                             "a pair of integer indices")
+        ij = ij.reshape(-1, 2)
+        out = np.flatnonzero(((ij < 1) | (ij > n)).any(axis=1))
+        if out.size:
+            i, j = omega[out[0]]
+            raise ValueError(f"index pair {(int(i), int(j))} out of range for n={n}")
+        rows = ij[:, 0].astype(np.intp) - 1
+        cols = ij[:, 1].astype(np.intp) - 1
+        # column-first key: a valid Omega is strictly increasing in it
+        key = cols * n + rows
+        if not np.all(key[1:] > key[:-1]):
+            if np.unique(key).size != key.size:
+                raise ValueError("Omega contains duplicate pairs")
             raise ValueError(
                 "Omega must be sorted lexicographically, column index first"
             )
-        have = set(pairs)
-        for i, j in pairs:
-            if (j, i) not in have:
-                raise ValueError(f"Omega is not symmetric: ({i},{j}) without ({j},{i})")
-        self.q = len(pairs)
-        self._rows = np.array([i - 1 for i, _ in pairs])
-        self._cols = np.array([j - 1 for _, j in pairs])
+        # the key of the mirror (j, i) is i n + j, the C-order flat index of (i, j)
+        flat = rows * n + cols
+        at = np.minimum(np.searchsorted(key, flat), key.size - 1)
+        lone = np.flatnonzero(key[at] != flat)
+        if lone.size:
+            i, j = (int(k) for k in omega[lone[0]])
+            raise ValueError(f"Omega is not symmetric: ({i},{j}) without ({j},{i})")
+        self.q = key.size
+        self._rows, self._cols, self._flat = rows, cols, flat
         # Omega is sorted column first, so it is already in CSC order
-        self._colptr = np.searchsorted(self._cols, np.arange(self.n + 1))
+        self._colptr = np.searchsorted(cols, np.arange(n + 1))
 
     def apply(self, U):
         U = self._check_matrix(U)
-        return U[self._rows, self._cols]
+        return U.take(self._flat)
 
     def adjoint(self, v):
         v = self._check_vector(v)
         out = np.zeros((self.n, self.n))
-        out[self._rows, self._cols] = v
+        out.put(self._flat, v)
         return out
 
     def subtract_adjoint(self, Z, v):
         """``Z -= A*(v)`` on Omega alone (exact: no duplicates), no n-by-n temporary."""
-        Z[self._rows, self._cols] -= self._check_vector(v)
+        vals = Z.take(self._flat)
+        vals -= self._check_vector(v)
+        Z.put(self._flat, vals)
 
     def misfit(self, X, Y, b):
         """``<X_i, Y_j> - b`` on Omega: O(|Omega| r), no n-by-n memory."""
@@ -176,12 +215,26 @@ class SymmetricSampling(LinearMap):
         vals -= self._check_vector(b)
         return vals
 
-    def misfit_products(self, X, Y, b):
+    def misfit_products(self, X, Y, b, misfit=None):
         """G is |Omega|-sparse with the misfit on Omega, so both products
         cost O(|Omega| r) and need no n-by-n memory."""
-        G = sparse.csc_array((self.misfit(X, Y, b), self._rows, self._colptr),
+        if misfit is None:
+            misfit = self.misfit(X, Y, b)
+        G = sparse.csc_array((misfit, self._rows, self._colptr),
                              shape=(self.n, self.n))
         return G @ Y, G.T @ X
+
+
+def _first_malformed(omega):
+    """The first entry of Omega that is not a pair of finite integral numbers."""
+    for entry in omega:
+        try:
+            i, j = entry
+            if float(i).is_integer() and float(j).is_integer():
+                continue
+        except (TypeError, ValueError, OverflowError):
+            pass
+        return entry
 
 
 def rho(alpha, beta):
@@ -220,14 +273,26 @@ def random_symmetric_omega(n, density, rng):
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    # one draw per upper-triangle entry, row by row: the stream of a
-    # pairwise loop over i <= j, without its n^2 / 2 Python calls
-    upper = [np.flatnonzero(rng.random(n - i) < density) + i for i in range(n)]
-    rows = np.repeat(np.arange(1, n + 1), [len(js) for js in upper])
-    cols = np.concatenate(upper) + 1
+    # one uniform per upper-triangle entry (i, j >= i), row by row: the stream
+    # of a pairwise loop over i <= j.  A block of whole rows takes its uniforms
+    # in one rng.random call, which yields exactly those of one call per row.
+    start = np.zeros(n + 1, dtype=np.intp)  # row i starts at start[i]
+    np.cumsum(np.arange(n, 0, -1), out=start[1:])
+    hits = []
+    i = 0
+    while i < n:
+        end = max(i + 1, int(np.searchsorted(start, start[i] + _DRAW_BLOCK,
+                                             side="right")) - 1)
+        u = rng.random(start[end] - start[i])
+        hits.append(np.flatnonzero(u < density) + start[i])
+        i = end
+    t = np.concatenate(hits)
+    rows = np.searchsorted(start, t, side="right") - 1
+    cols = t - start[rows] + rows
     off = rows != cols
-    rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
-    if rows.size == 0:
+    # the column-first keys j n + i of the pairs and of their mirrors
+    key = np.sort(np.concatenate([cols * n + rows, rows[off] * n + cols[off]]))
+    if key.size == 0:
         return [(1, 1)]
-    order = np.lexsort((rows, cols))
-    return list(zip(rows[order].tolist(), cols[order].tolist()))
+    cols, rows = np.divmod(key, n)
+    return list(zip((rows + 1).tolist(), (cols + 1).tolist()))

@@ -189,6 +189,7 @@ class _Kernel:
         # M V for the last accepted V, which the next begin_outer reuses as M Y
         self._V = self._MV = None
         self._U = self._ZtU = None  # sigma-only retries reuse the last Z^T U
+        self._misfit = None  # the last candidate's misfit when Z is materialized
         self.cache = (GramCache(spec.map.adjoint(spec.b))
                       if isinstance(spec.map, FullVectorization) else None)
         if config.scheme == "proximal" and not (
@@ -209,7 +210,7 @@ class _Kernel:
         self.X = X
         self.Y = Y
         self.Gy = Y.T @ Y
-        self._U = None
+        self._U = self._misfit = None
         if Z is None and self.cache is not None:
             # Z Y without forming Z:  Z = az * X Y^T + bz * M
             self.Z = None
@@ -277,11 +278,11 @@ class _Kernel:
         On the matrix-free path ``M^T U`` comes from ``update_v`` and the
         Gram matrices from the cache :meth:`objective` refreshed for
         (U, V); the one new product ``M V`` is kept for the next
-        :meth:`begin_outer`.  Returns None when Z is materialized, where the
-        map computes them instead.
+        :meth:`begin_outer`.  When Z is materialized the map forms them from
+        the misfit :meth:`objective` formed for (U, V).
         """
         if self.Z is not None:
-            return None
+            return diagnostics.gradients(self.spec, U, V, misfit=self._misfit)
         cache = self.cache
         self._V, self._MV = V, _mul_thin(cache.M, V)
         D = self.spec.lam * (U - V)
@@ -311,7 +312,11 @@ class _Kernel:
             if abs(val) > 1e5 * _EPS * scale:
                 self.f_err = 64.0 * _EPS * scale
                 return val
-        val = f_lambda(self.spec, U, V)
+            val = f_lambda(self.spec, U, V)
+        else:
+            # kept for the residual's products in gradients
+            self._misfit = self.spec.map.misfit(U, V, self.spec.b)
+            val = f_lambda(self.spec, U, V, misfit=self._misfit)
         self.f_err = _roundoff_bound(val, self.spec.bnorm)
         return val
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gsmf import operators
 from gsmf.operators import (
     DimensionMismatchError,
     FullVectorization,
@@ -195,6 +196,74 @@ def test_omega_validation_rejects_bad_sets():
         SymmetricSampling(2, [])
 
 
+def _validate_pairwise(n, omega):
+    """Reference: the pair-at-a-time validation, in the constructor's order."""
+    pairs = []
+    for entry in omega:
+        try:
+            i, j = entry
+            whole = float(i).is_integer() and float(j).is_integer()
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise ValueError(f"Omega entry {entry!r} is not a pair of integer indices")
+        pairs.append((int(i), int(j)))
+    if not pairs:
+        raise ValueError("Omega must be nonempty")
+    for i, j in pairs:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"index pair {(i, j)} out of range for n={n}")
+    if len(set(pairs)) != len(pairs):
+        raise ValueError("Omega contains duplicate pairs")
+    if pairs != sorted(pairs, key=lambda p: (p[1], p[0])):
+        raise ValueError("Omega must be sorted lexicographically, column index first")
+    have = set(pairs)
+    for i, j in pairs:
+        if (j, i) not in have:
+            raise ValueError(f"Omega is not symmetric: ({i},{j}) without ({j},{i})")
+
+
+@pytest.mark.parametrize("n, omega, message", [
+    (2, [], "nonempty"),
+    (2, [(3, 1), (1, 3)], r"\(3, 1\) out of range"),
+    (3, [(1, 1), (2, 1), (4, 1), (0, 2), (1, 4)], r"\(4, 1\) out of range"),
+    (3, [(1, 1), (1, 0)], r"\(1, 0\) out of range"),
+    (2, [(2, 1), (2, 1), (1, 2)], "duplicate"),
+    (3, [(1, 2), (2, 1), (1, 2)], "duplicate"),  # also unsorted
+    (3, [(5, 5), (1, 1), (1, 1)], "out of range"),  # also duplicate
+    (2, [(1, 2), (2, 1)], "sorted"),
+    (3, [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3), (3, 3), (2, 2)], "sorted"),
+    (3, [(1, 2)], r"\(1,2\) without \(2,1\)"),
+    (3, [(1, 1), (3, 1), (3, 2), (1, 3)], r"\(3,2\) without \(2,3\)"),
+    (3, [(2, 1), (3, 1), (1, 2), (2, 3)], r"\(3,1\) without \(1,3\)"),
+    (4, [(1, 1), (2, 1), (1, 2), (4, 2), (3, 3), (1, 4), (2, 4)],
+     r"\(1,4\) without \(4,1\)"),
+    (2, [(1.5, 2)], r"\(1.5, 2\) is not a pair of integer indices"),
+    (2, [(1, 1), (2, float("nan"))], "not a pair of integer"),
+    (2, [(float("inf"), 1)], "not a pair of integer"),
+    (2, [(3, 1), (1, 2.5)], r"\(1, 2.5\) is not a pair"),  # also out of range
+    (2, [(1, 2, 3)], r"\(1, 2, 3\) is not a pair"),
+    (2, [(1, 1), (1,)], r"\(1,\) is not a pair"),
+    (2, [(1, 1), 2], "2 is not a pair"),
+    (2, [(1, None)], r"None\) is not a pair"),
+    (2, [("a", 1)], "is not a pair"),
+])
+def test_omega_validation_matches_pairwise_reference(n, omega, message):
+    # the same check fires, with the same first offender, as the pair loop
+    with pytest.raises(ValueError) as want:
+        _validate_pairwise(n, omega)
+    with pytest.raises(ValueError, match=message) as got:
+        SymmetricSampling(n, omega)
+    assert str(got.value) == str(want.value)
+
+
+def test_omega_accepts_integral_values_of_any_type():
+    amap = SymmetricSampling(3, iter([(2.0, np.int64(1)), (np.int32(1), 2), (3, 3)]))
+    assert amap.q == 3
+    U = np.arange(9.0).reshape(3, 3)
+    assert amap.apply(U).tolist() == [U[1, 0], U[0, 1], U[2, 2]]
+
+
 def test_load_omega_csv_roundtrip(tmp_path):
     path = tmp_path / "omega.csv"
     path.write_text("# pairs\n2,1\n1,2\n")
@@ -220,6 +289,37 @@ def test_random_symmetric_omega_matches_pairwise_draw(n, density):
         want = _pairwise_omega(n, density, np.random.default_rng(seed))
         assert got == want
         assert all(type(k) is int for pair in got for k in pair)
+
+
+def _row_loop_omega(n, density, rng):
+    """Reference draw: one rng.random(n - i) call per row i of the triangle."""
+    upper = [np.flatnonzero(rng.random(n - i) < density) + i for i in range(n)]
+    rows = np.repeat(np.arange(1, n + 1), [len(js) for js in upper])
+    cols = np.concatenate(upper) + 1
+    off = rows != cols
+    rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+    if rows.size == 0:
+        return [(1, 1)]
+    order = np.lexsort((rows, cols))
+    return list(zip(rows[order].tolist(), cols[order].tolist()))
+
+
+@pytest.mark.parametrize("n, density", [(1500, 0.01), (400, 0.2), (700, 0.0)])
+def test_random_symmetric_omega_matches_row_loop_across_blocks(n, density):
+    # n(n+1)/2 uniforms span several draw blocks at these sizes
+    assert n * (n + 1) // 2 > operators._DRAW_BLOCK
+    for seed in range(3):
+        got = random_symmetric_omega(n, density, np.random.default_rng([seed, 1]))
+        assert got == _row_loop_omega(n, density, np.random.default_rng([seed, 1]))
+
+
+@pytest.mark.parametrize("block", [1, 7, 50])
+def test_random_symmetric_omega_small_blocks_match_pairwise_draw(monkeypatch, block):
+    # blocks shorter than a row hold that row alone
+    monkeypatch.setattr(operators, "_DRAW_BLOCK", block)
+    for n, density in ((1, 0.5), (30, 0.3), (45, 0.05)):
+        got = random_symmetric_omega(n, density, np.random.default_rng(n))
+        assert got == _pairwise_omega(n, density, np.random.default_rng(n))
 
 
 def test_random_symmetric_omega_is_valid():

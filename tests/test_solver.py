@@ -547,3 +547,44 @@ def test_sigma_only_retries_reuse_the_u_product(monkeypatch, sampling):
     fresh = solve(spec, params, config)
     assert reused.records == fresh.records
     assert np.array_equal(reused.X, fresh.X) and np.array_equal(reused.Y, fresh.Y)
+
+
+def test_sampling_solve_forms_one_misfit_per_candidate(monkeypatch):
+    # the objective forms each candidate's misfit once, and the residual of
+    # the accepted pair builds its sparse products from that same vector
+    from gsmf import operators, solver as solver_mod
+    from gsmf.data import DatasetRecipe, gen_data
+    from gsmf.objective import ProblemSpec
+
+    n = 60
+    M = gen_data(DatasetRecipe("synthetic", n=n, m=3, seed=1, noise_t=0.01,
+                               symmetrize_noise=True))
+    amap = operators.SymmetricSampling(n, operators.random_symmetric_omega(
+        n, 0.5, np.random.default_rng(2)))
+    spec = ProblemSpec(amap, amap.apply(M), NonnegIndicator(), NonnegIndicator(),
+                       1.0, n=n, r=3)
+    params = RelaxationParams.from_alpha(0.6)
+    config = SolverConfig(scheme="prox_linear", max_iters=30, seed=0)
+
+    misfit, calls = amap.misfit, [0]
+
+    def counting_misfit(*args, **kwargs):
+        calls[0] += 1
+        return misfit(*args, **kwargs)
+
+    monkeypatch.setattr(amap, "misfit", counting_misfit)
+    kept = solve(spec, params, config)
+    inner = sum(rec.inner_iterations for rec in kept.records)
+    assert inner > len(kept.records)  # some candidates were rejected
+    assert calls[0] == inner + 1  # one per candidate, one for the start
+
+    gradients = solver_mod._Kernel.gradients
+
+    def fresh_gradients(self, U, V):
+        self._misfit = None
+        return gradients(self, U, V)
+
+    monkeypatch.setattr(solver_mod._Kernel, "gradients", fresh_gradients)
+    fresh = solve(spec, params, config)
+    assert kept.records == fresh.records
+    assert np.array_equal(kept.X, fresh.X) and np.array_equal(kept.Y, fresh.Y)
