@@ -10,6 +10,7 @@ from .diagnostics import (
     relaxation_consistency,
     report,
     scheme_inclusion_residual,
+    spectral_norm_sq,
     stationarity_residual,
     symmetry_gap,
 )
@@ -46,62 +47,9 @@ from .solver import (
     inner_iteration_budget,
     reference_value_update,
     solve,
-    spectral_norm_sq,
     step,
     update_u,
     update_v,
 )
-
-__all__ = [
-    "DatasetRecipe",
-    "gen_data",
-    "load_matrix",
-    "planted_snmf_matrix",
-    "save_matrix",
-    "DiagnosticsReport",
-    "descent_audit",
-    "exact_penalty_threshold",
-    "relaxation_consistency",
-    "report",
-    "scheme_inclusion_residual",
-    "stationarity_residual",
-    "symmetry_gap",
-    "DimensionMismatchError",
-    "load_omega_csv",
-    "random_symmetric_omega",
-    "inner_iteration_budget",
-    "spectral_norm_sq",
-    "update_u",
-    "update_v",
-    "GramCache",
-    "ProblemSpec",
-    "RelaxationParams",
-    "f_lambda",
-    "relobj",
-    "snmf_objective_cached",
-    "snmf_spec",
-    "theta",
-    "z_star",
-    "FullVectorization",
-    "LinearMap",
-    "SymmetricSampling",
-    "gamma_min",
-    "rho",
-    "L1",
-    "NonnegIndicator",
-    "NonnegPlusL1",
-    "Regularizer",
-    "Zero",
-    "AlgorithmInvariantError",
-    "ConfigError",
-    "IterationRecord",
-    "SolveResult",
-    "SolverConfig",
-    "SolverState",
-    "init_state",
-    "reference_value_update",
-    "solve",
-    "step",
-]
 
 __version__ = "0.1.0"

@@ -122,16 +122,8 @@ def build_spec(cfg, M):
 
 def build_params(cfg):
     relax = _check_fields(_require(cfg, "relaxation", "relaxation"),
-                          ("alpha", "beta", "gamma"), "relaxation")
+                          ("alpha", "gamma"), "relaxation")
     alpha = float(_require(relax, "alpha", "relaxation.alpha"))
-    if "beta" in relax:
-        beta = float(relax["beta"])
-        return RelaxationParams(
-            alpha=alpha,
-            beta=beta,
-            gamma=float(relax.get("gamma", operators.gamma_min(alpha, beta))),
-            rho=operators.rho(alpha, beta),
-        )
     return RelaxationParams.from_alpha(alpha, gamma=relax.get("gamma"))
 
 
@@ -244,7 +236,6 @@ def _apply_point(cfg, point):
     for key, value in point.items():
         if key == "alpha":
             c["relaxation"]["alpha"] = value
-            c["relaxation"].pop("beta", None)
             c["relaxation"].pop("gamma", None)
         elif key == "lambda":
             c["problem"]["lambda"] = value
@@ -278,13 +269,8 @@ def cmd_sweep(args):
                 rows.append(None)
         return idx, point, rows
 
-    jobs = max(1, args.jobs)
-    results = []
-    if jobs == 1:
-        results = [run_point(ip) for ip in enumerate(points)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_point, enumerate(points)))
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        results = list(pool.map(run_point, enumerate(points)))
 
     table_path = out / "sweep.csv"
     with open(table_path, "w", newline="\n") as fh:

@@ -32,6 +32,12 @@ class DiagnosticsReport:
         return asdict(self)
 
 
+def spectral_norm_sq(A):
+    """lambda_max(A^T A): the top eigenvalue of the r-by-r Gram matrix."""
+    A = np.asarray(A)
+    return float(np.linalg.eigvalsh(A.T @ A)[-1])
+
+
 def gradients(spec: ProblemSpec, X, Y, misfit=None):
     """Partial gradients of the smooth part of the objective.
 
@@ -196,8 +202,6 @@ def descent_audit(result, spec: ProblemSpec, params: RelaxationParams,
         )
         if at_caps:
             f_prev = f_lambda(spec, X_prev, Y_prev)
-            from .solver import spectral_norm_sq
-
             bound = (
                 -(rec.mu_bar - coef * spectral_norm_sq(Y_prev)) / 2.0 * dU2
                 - (rec.sigma_bar - coef * spectral_norm_sq(rec.x)) / 2.0 * dV2

@@ -63,38 +63,40 @@ class ProblemSpec:
                 )
 
 
+def _beta(alpha):
+    """beta = alpha / (alpha - 1), the solution of 1/alpha + 1/beta = 1."""
+    if alpha in (0.0, 1.0):
+        raise ValueError("alpha must differ from 0 and 1")
+    return alpha / (alpha - 1.0)
+
+
 @dataclass(frozen=True)
 class RelaxationParams:
-    """Relaxation scalars (alpha, beta, gamma, rho) with 1/alpha + 1/beta = 1."""
+    """Relaxation scalars alpha and gamma; beta and rho follow from alpha
+    through 1/alpha + 1/beta = 1."""
 
     alpha: float
-    beta: float
     gamma: float
-    rho: float
 
     def __post_init__(self):
-        a, b = self.alpha, self.beta
-        if a == 0 or b == 0 or abs(1.0 / a + 1.0 / b - 1.0) > 1e-12:
-            raise ValueError(
-                f"need 1/alpha + 1/beta = 1; got alpha={a}, beta={b}"
-            )
-        gmin = operators.gamma_min(a, b)
+        gmin = operators.gamma_min(self.alpha, self.beta)
         if self.gamma < gmin - 1e-12:
             raise ValueError(f"gamma={self.gamma} below admissible minimum {gmin}")
-        want_rho = operators.rho(a, b)
-        if abs(self.rho - want_rho) > 1e-12 * max(1.0, want_rho):
-            raise ValueError(f"rho={self.rho} inconsistent; expected {want_rho}")
+
+    @property
+    def beta(self) -> float:
+        return _beta(self.alpha)
+
+    @property
+    def rho(self) -> float:
+        return operators.rho(self.alpha, self.beta)
 
     @classmethod
     def from_alpha(cls, alpha, gamma=None):
-        """Derive beta = alpha/(alpha-1) and the default gamma and rho."""
-        if alpha in (0.0, 1.0):
-            raise ValueError("alpha must differ from 0 and 1")
-        beta = alpha / (alpha - 1.0)
+        """The relaxation at alpha; gamma defaults to its admissible minimum."""
         if gamma is None:
-            gamma = operators.gamma_min(alpha, beta)
-        return cls(alpha=alpha, beta=beta, gamma=float(gamma),
-                   rho=operators.rho(alpha, beta))
+            gamma = operators.gamma_min(alpha, _beta(alpha))
+        return cls(alpha=alpha, gamma=float(gamma))
 
 
 def f_lambda(spec: ProblemSpec, X, Y, misfit=None) -> float:

@@ -10,7 +10,6 @@ inverse ``(alpha I + beta A* A)^{-1}`` and for the scalars ``rho`` and
 from __future__ import annotations
 
 import csv
-import itertools
 
 import numpy as np
 from scipy import sparse
@@ -137,7 +136,9 @@ class FullVectorization(LinearMap):
 class SymmetricSampling(LinearMap):
     """Sampling map that reads the entries of U indexed by a symmetric Omega.
 
-    Omega is a list of 1-based (row, col) pairs.  It must contain (j, i)
+    Omega is an array-like of 1-based (row, col) pairs: the (k, 2) integer
+    array of :func:`random_symmetric_omega`, the list of
+    :func:`load_omega_csv`, or any iterable of pairs.  It must contain (j, i)
     whenever it contains (i, j), hold no duplicates, and be sorted
     lexicographically with the column index taking priority over the row
     index.  A set violating any of these is rejected rather than repaired.
@@ -150,22 +151,21 @@ class SymmetricSampling(LinearMap):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         self.n = n = int(n)
-        omega = list(omega)
-        if not omega:
+        if not isinstance(omega, np.ndarray):
+            omega = list(omega)
+        if len(omega) == 0:
             raise ValueError("Omega must be nonempty")
-        # every check is one array operation on the pairs read into one flat
-        # float array; the Python loop of _first_malformed runs on error only
+        # every check is one array operation on Omega read as a (k, 2) float
+        # array; the Python loop of _first_malformed runs on error only
         try:
-            pairs = np.fromiter(map(len, omega), dtype=np.intp, count=len(omega))
-            ij = np.fromiter(itertools.chain.from_iterable(omega), dtype=float)
-            whole = (np.all(pairs == 2) and np.all(np.isfinite(ij))
+            ij = np.asarray(omega, dtype=float)
+            whole = (ij.ndim == 2 and ij.shape[1] == 2 and np.all(np.isfinite(ij))
                      and np.all(np.trunc(ij) == ij))
         except (TypeError, ValueError, OverflowError):
             whole = False
         if not whole:
             raise ValueError(f"Omega entry {_first_malformed(omega)!r} is not "
                              "a pair of integer indices")
-        ij = ij.reshape(-1, 2)
         out = np.flatnonzero(((ij < 1) | (ij > n)).any(axis=1))
         if out.size:
             i, j = omega[out[0]]
@@ -268,31 +268,28 @@ def load_omega_csv(path):
 def random_symmetric_omega(n, density, rng):
     """Draw a random symmetric Omega at roughly the requested density.
 
-    Returned pairs are 1-based and canonically sorted (column-major), so
-    they can be fed directly to :class:`SymmetricSampling`.
+    Returns a (k, 2) integer array of 1-based (row, col) pairs, canonically
+    sorted (column-major), that can be fed directly to
+    :class:`SymmetricSampling`.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     # one uniform per upper-triangle entry (i, j >= i), row by row: the stream
-    # of a pairwise loop over i <= j.  A block of whole rows takes its uniforms
-    # in one rng.random call, which yields exactly those of one call per row.
+    # of a pairwise loop over i <= j.  Each float64 uniform takes its own draw
+    # from the generator's stream, so the blocks of rng.random calls need not
+    # align with rows.
     start = np.zeros(n + 1, dtype=np.intp)  # row i starts at start[i]
     np.cumsum(np.arange(n, 0, -1), out=start[1:])
-    hits = []
-    i = 0
-    while i < n:
-        end = max(i + 1, int(np.searchsorted(start, start[i] + _DRAW_BLOCK,
-                                             side="right")) - 1)
-        u = rng.random(start[end] - start[i])
-        hits.append(np.flatnonzero(u < density) + start[i])
-        i = end
-    t = np.concatenate(hits)
+    t = np.concatenate([
+        np.flatnonzero(rng.random(min(_DRAW_BLOCK, start[n] - s)) < density) + s
+        for s in range(0, start[n], _DRAW_BLOCK)
+    ])
     rows = np.searchsorted(start, t, side="right") - 1
     cols = t - start[rows] + rows
     off = rows != cols
     # the column-first keys j n + i of the pairs and of their mirrors
     key = np.sort(np.concatenate([cols * n + rows, rows[off] * n + cols[off]]))
     if key.size == 0:
-        return [(1, 1)]
+        key = np.zeros(1, dtype=np.intp)  # the pair (1, 1)
     cols, rows = np.divmod(key, n)
-    return list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+    return np.column_stack((rows + 1, cols + 1))

@@ -178,6 +178,7 @@ def test_cli_solve_rejects_jobs_flag(tmp_path, capsys):
     ("solvers", {"tol": 1e-9}, "solvers"),
     ("problem.psi", {"kind": "l1", "wieght": 2.0}, "problem.psi"),
     ("problem.phi", {"kind": "nonneg", "weight": 2.0}, "problem.phi"),
+    ("relaxation.beta", 2.0, "beta"),  # derived from alpha, not settable
 ])
 def test_cli_solve_unknown_config_key_names_it(tmp_path, capsys, key, value, name):
     cfg_path = write_config(tmp_path, base_config(**{key: value}))
@@ -286,7 +287,7 @@ def test_cli_check_passes_on_fresh_config(tmp_path, capsys):
 
 def test_cli_check_flags_inadmissible_relaxation(tmp_path, capsys):
     cfg = base_config()
-    cfg["relaxation"] = {"alpha": 0.6, "beta": 2.0}  # 1/a + 1/b != 1
+    cfg["relaxation"] = {"alpha": 1.0}  # beta = alpha/(alpha-1) is undefined
     cfg_path = write_config(tmp_path, cfg)
     code = main(["check", "--config", cfg_path])
     assert code == 1

@@ -1,4 +1,5 @@
-"""The README's library quickstart must run as written."""
+"""The README's library quickstart must run as written, on the package's
+public names."""
 
 import re
 from pathlib import Path
@@ -13,3 +14,11 @@ def test_readme_quickstart_runs(capsys):
         exec(compile(code, str(README), "exec"), {"__name__": "readme"})
     out = capsys.readouterr().out
     assert out.startswith("Converged")
+
+
+def test_star_import_provides_public_names():
+    namespace = {}
+    exec("from gsmf import *", namespace)
+    used = {"solve", "step", "update_u", "update_v", "z_star", "theta",
+            "spectral_norm_sq", "RelaxationParams", "SolverConfig", "snmf_spec"}
+    assert not used - namespace.keys()
