@@ -2,7 +2,7 @@
 updates: measurement operators, regularizers, the split-variable potential,
 the alternating solver, and numerical diagnostics."""
 
-from .data import DatasetRecipe, gen_data, load_matrix, planted_snmf_matrix, save_matrix
+from .data import DatasetRecipe, gen_data, load_matrix, save_matrix
 from .diagnostics import (
     DiagnosticsReport,
     descent_audit,

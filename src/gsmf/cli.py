@@ -10,10 +10,11 @@ JSON.  Exit codes: 0 success/converged, 2 budget-limited, 1 error.
 from __future__ import annotations
 
 import argparse
+import copy
+import dataclasses
 import itertools
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -24,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import data, diagnostics, operators, regularizers
-from .objective import ProblemSpec, RelaxationParams, f_lambda, theta, z_star
+from .objective import ProblemSpec, RelaxationParams, f_lambda
 from .solver import (
     STATUS_CONVERGED,
     SolverConfig,
@@ -37,7 +38,9 @@ TRACE_HEADER = (
     "iter,elapsed_sec,f_value,ref_value,relobj,sym_gap,residual,"
     "mu_bar,sigma_bar,inner_iters"
 )
-SWEEP_AXES = ("alpha", "lambda", "noise_t", "rank")
+# each sweep axis sets the field of its name in this config section
+SWEEP_AXES = {"alpha": "relaxation", "lambda": "problem", "noise_t": "dataset",
+              "rank": "problem"}
 
 
 class ConfigFileError(ValueError):
@@ -71,21 +74,30 @@ def load_config(path):
     return cfg
 
 
+def _typed_fields(cls, section, path):
+    """The fields a config section sets for dataclass ``cls``, each cast to
+    the type of its default (PyYAML reads ``1e-9`` as a string, which
+    ``float`` parses); a null keeps the default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    fields = {}
+    for key, value in _check_fields(section, defaults, path).items():
+        if value is None:
+            continue
+        default = defaults[key]
+        try:
+            fields[key] = value if default is None else type(default)(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigFileError(f"`{path}.{key}`: cannot read {value!r} as "
+                                  f"{type(default).__name__}") from exc
+    return fields
+
+
 def build_recipe(cfg, seed_override=None):
-    ds = _check_fields(_require(cfg, "dataset", "dataset"),
-                       ("source", "n", "m", "seed", "path", "noise_t",
-                        "normalize", "symmetrize_noise"), "dataset")
-    source = ds.get("source", "synthetic")
-    return data.DatasetRecipe(
-        source=source,
-        n=int(ds.get("n", 0)),
-        m=int(ds.get("m", 0)),
-        seed=int(seed_override if seed_override is not None else ds.get("seed", 0)),
-        path=ds.get("path"),
-        noise_t=float(ds.get("noise_t", 0.0)),
-        normalize=bool(ds.get("normalize", True)),
-        symmetrize_noise=bool(ds.get("symmetrize_noise", False)),
-    )
+    ds = _typed_fields(data.DatasetRecipe, _require(cfg, "dataset", "dataset"),
+                       "dataset")
+    if seed_override is not None:
+        ds["seed"] = seed_override
+    return data.DatasetRecipe(**ds)
 
 
 def _regularizer(prob, key):
@@ -128,20 +140,10 @@ def build_params(cfg):
 
 
 def build_solver_config(cfg, seed_override=None):
-    sol = dict(_check_fields(cfg.get("solver", {}),
-                             SolverConfig.__dataclass_fields__, "solver"))
+    sol = _typed_fields(SolverConfig, cfg.get("solver", {}), "solver")
     if seed_override is not None:
         sol["seed"] = seed_override
-    sol.setdefault("max_time_sec", math.inf)
-    if sol.get("max_time_sec") in ("inf", None):
-        sol["max_time_sec"] = math.inf
     return SolverConfig(**sol)
-
-
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def write_trace_csv(path, records):
@@ -153,7 +155,7 @@ def write_trace_csv(path, records):
                 r.sym_gap, r.stationarity_residual, r.mu_bar, r.sigma_bar,
                 r.inner_iterations,
             ]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def run_single(cfg, out_dir, seed=None, tag="run"):
@@ -221,7 +223,7 @@ def _sweep_points(cfg):
                           "sweep")
     axes = [axis for axis in SWEEP_AXES if axis in sweep]
     if not axes:
-        raise ConfigFileError(f"sweep section names no axis {SWEEP_AXES}")
+        raise ConfigFileError(f"sweep section names no axis {tuple(SWEEP_AXES)}")
     for axis in axes:
         if not sweep[axis]:
             raise ConfigFileError(f"sweep axis `{axis}` has an empty value list")
@@ -230,19 +232,12 @@ def _sweep_points(cfg):
 
 
 def _apply_point(cfg, point):
-    import copy
-
     c = copy.deepcopy(cfg)
-    for key, value in point.items():
-        if key == "alpha":
-            c["relaxation"]["alpha"] = value
-            c["relaxation"].pop("gamma", None)
-        elif key == "lambda":
-            c["problem"]["lambda"] = value
-        elif key == "noise_t":
-            c["dataset"]["noise_t"] = value
-        elif key == "rank":
-            c["problem"]["rank"] = value
+    for axis, value in point.items():
+        section = c.setdefault(SWEEP_AXES[axis], {})
+        if axis == "alpha":
+            section.pop("gamma", None)  # its admissible minimum moves with alpha
+        section[axis] = value
     return c
 
 
@@ -250,7 +245,7 @@ def cmd_sweep(args):
     cfg = load_config(args.config)
     points = _sweep_points(cfg)
     reps = int(cfg.get("sweep", {}).get("reps", 1))
-    base_seed = args.seed if args.seed is not None else cfg.get("solver", {}).get("seed", 0)
+    base_seed = build_solver_config(cfg, seed_override=args.seed).seed
     out = Path(args.out or cfg.get("output", {}).get("dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
 
@@ -281,17 +276,10 @@ def cmd_sweep(args):
             if not good:
                 fh.write(f"{label},1,,,,\n")
                 continue
-            fh.write(
-                "%s,%d,%s,%s,%s,%s\n"
-                % (
-                    label,
-                    int(len(good) < len(rows)),
-                    repr(float(np.mean([r["iters"] for r in good]))),
-                    repr(float(np.mean([r["relobj"] for r in good]))),
-                    repr(float(np.mean([r["elapsed_sec"] for r in good]))),
-                    repr(float(np.mean([r["sym_gap"] for r in good]))),
-                )
-            )
+            means = [float(np.mean([r[key] for r in good]))
+                     for key in ("iters", "relobj", "elapsed_sec", "sym_gap")]
+            fh.write(",".join(map(str, [label, int(len(good) < len(rows)), *means]))
+                     + "\n")
     print(table_path)
     return 0
 
@@ -300,9 +288,12 @@ def _check_items(cfg):
     """The identity/property suite behind `gsmf check`."""
     items = []
 
-    def record(name, fn):
+    def record(name, fn, *built):
         try:
-            ok, detail = fn()
+            for value in built:  # a failed build fails each item that reads it
+                if isinstance(value, Exception):
+                    raise value
+            ok, detail = fn(*built)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         items.append({"name": name, "passed": bool(ok), "detail": detail})
@@ -327,27 +318,30 @@ def _check_items(cfg):
                 )
         return worst <= 1e-12, f"max deviation {worst:.3e}"
 
-    def check_params():
-        params = build_params(cfg)
+    def built(build):
+        """``build()``, or the exception it raised."""
+        try:
+            return build()
+        except Exception as exc:  # noqa: BLE001 - reported by record
+            return exc
+
+    # each instance is built once, for every item that reads it
+    spec = built(lambda: build_spec(cfg, data.gen_data(build_recipe(cfg))))
+    params = built(lambda: build_params(cfg))
+
+    def check_params(params):
         return True, f"alpha={params.alpha}, beta={params.beta}"
 
-    def check_spec():
-        recipe = build_recipe(cfg)
-        M = data.gen_data(recipe)
-        spec = build_spec(cfg, M)
+    def check_spec(spec):
         return True, f"n={spec.n}, r={spec.r}, q={spec.map.q}"
 
-    def check_relaxation_identity():
-        recipe = build_recipe(cfg)
-        M = data.gen_data(recipe)
-        spec = build_spec(cfg, M)
-        params = build_params(cfg)
+    def check_relaxation_identity(spec, params):
         worst = 0.0
         for _ in range(10):
             X = rng.uniform(size=(spec.n, spec.r))
             Y = rng.uniform(size=(spec.n, spec.r))
             f = f_lambda(spec, X, Y)
-            gap = abs(theta(spec, params, X, Y, z_star(spec, params, X, Y)) - f)
+            gap = diagnostics.relaxation_consistency(spec, params, X, Y)
             worst = max(worst, gap / (1.0 + abs(f)))
         return worst <= 1e-10, f"max relative gap {worst:.3e}"
 
@@ -362,11 +356,7 @@ def _check_items(cfg):
                 return False, "prox point is not a minimizer"
         return True, "prox optimality held on 50 perturbations"
 
-    def check_descent_audit():
-        recipe = build_recipe(cfg)
-        M = data.gen_data(recipe)
-        spec = build_spec(cfg, M)
-        params = build_params(cfg)
+    def check_descent_audit(spec, params):
         config = build_solver_config(cfg)
         config.audit = True
         config.max_iters = min(config.max_iters, 50)
@@ -375,11 +365,11 @@ def _check_items(cfg):
         return bad == 0, f"{bad} violations over {len(result.records)} iterations"
 
     record("operator_identities", check_operators)
-    record("relaxation_params", check_params)
-    record("problem_spec", check_spec)
-    record("relaxation_identity", check_relaxation_identity)
+    record("relaxation_params", check_params, params)
+    record("problem_spec", check_spec, spec)
+    record("relaxation_identity", check_relaxation_identity, spec, params)
     record("prox_optimality", check_prox)
-    record("descent_audit", check_descent_audit)
+    record("descent_audit", check_descent_audit, spec, params)
     return items
 
 

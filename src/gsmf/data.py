@@ -22,7 +22,7 @@ log = logging.getLogger("gsmf")
 class DatasetRecipe:
     """Where the factor source N comes from and how M is assembled."""
 
-    source: str  # "synthetic" or "file"
+    source: str = "synthetic"  # or "file"
     n: int = 0
     m: int = 0
     seed: int = 0
@@ -83,9 +83,3 @@ def gen_data(recipe: DatasetRecipe):
         M = M + noise
     return M
 
-
-def planted_snmf_matrix(n, r, seed):
-    """Exact-rank target M = B B^T with B >= 0; optimum value 0 by construction."""
-    rng = np.random.default_rng(seed)
-    B = rng.uniform(size=(n, r))
-    return B @ B.T, B

@@ -184,7 +184,8 @@ def descent_audit(result, spec: ProblemSpec, params: RelaxationParams,
     violations = 0
     coef = params.alpha + 2.0 * params.gamma * params.rho
     X_prev, Y_prev = result.x0, result.y0
-    R = f_lambda(spec, X_prev, Y_prev)
+    # f_prev: the objective recomputed at the previous record (or the start)
+    R = f_prev = f_lambda(spec, X_prev, Y_prev)
     f_hist = [R]
     for rec in records:
         f_true = f_lambda(spec, rec.x, rec.y)
@@ -201,7 +202,6 @@ def descent_audit(result, spec: ProblemSpec, params: RelaxationParams,
             and rec.sigma_bar == rec.sigma_max
         )
         if at_caps:
-            f_prev = f_lambda(spec, X_prev, Y_prev)
             bound = (
                 -(rec.mu_bar - coef * spectral_norm_sq(Y_prev)) / 2.0 * dU2
                 - (rec.sigma_bar - coef * spectral_norm_sq(rec.x)) / 2.0 * dV2
@@ -210,11 +210,11 @@ def descent_audit(result, spec: ProblemSpec, params: RelaxationParams,
         if not ok:
             violations += 1
         f_hist.append(rec.f_value)
-        if getattr(config, "line_search", "average") == "average":
+        if config.line_search == "average":
             R = (1.0 - config.p_const) * R + config.p_const * rec.f_value
         else:
             R = max(f_hist[-(config.window + 1):])
-        X_prev, Y_prev = rec.x, rec.y
+        X_prev, Y_prev, f_prev = rec.x, rec.y, f_true
     return violations
 
 

@@ -79,6 +79,9 @@ class RelaxationParams:
     gamma: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.gamma)):
+            raise ValueError(f"alpha and gamma must be finite, got alpha={self.alpha}, "
+                             f"gamma={self.gamma}")
         gmin = operators.gamma_min(self.alpha, self.beta)
         if self.gamma < gmin - 1e-12:
             raise ValueError(f"gamma={self.gamma} below admissible minimum {gmin}")

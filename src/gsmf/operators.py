@@ -9,8 +9,6 @@ inverse ``(alpha I + beta A* A)^{-1}`` and for the scalars ``rho`` and
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 from scipy import sparse
 
@@ -137,7 +135,7 @@ class SymmetricSampling(LinearMap):
     """Sampling map that reads the entries of U indexed by a symmetric Omega.
 
     Omega is an array-like of 1-based (row, col) pairs: the (k, 2) integer
-    array of :func:`random_symmetric_omega`, the list of
+    array of :func:`random_symmetric_omega`, the float array of
     :func:`load_omega_csv`, or any iterable of pairs.  It must contain (j, i)
     whenever it contains (i, j), hold no duplicates, and be sorted
     lexicographically with the column index taking priority over the row
@@ -253,16 +251,10 @@ def gamma_min(alpha, beta):
 
 
 def load_omega_csv(path):
-    """Read Omega from a two-column CSV of 1-based (row, col) pairs."""
-    pairs = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"expected two columns in {path}, got row {row!r}")
-            pairs.append((int(row[0]), int(row[1])))
-    return pairs
+    """Read Omega from a two-column CSV of 1-based (row, col) pairs as a
+    (k, 2) float array; ``#`` comments and blank lines are skipped, and
+    :class:`SymmetricSampling` rejects a non-integral entry."""
+    return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def random_symmetric_omega(n, density, rng):

@@ -167,15 +167,16 @@ def reference_value_update(mode, R_k, f_new, p_next=None, history=(),
 class _Kernel:
     """Per-solve scratch holding the block-update formulas.
 
-    Works on a materialized Z when one is given or the map is general; for
-    the full-vectorization (symmetric NMF) case without a given Z it works
-    matrix-free through the target M and the Gram cache, never forming
-    X Y^T or Z.  Every n-by-n times n-by-r product (most of the time of an
-    outer iteration) goes through ``_mul_thin``, its fastest orientation.
+    Works on a materialized Z on a general map; on the full vectorization
+    (symmetric NMF) it works matrix-free through the target M and the Gram
+    cache, never forming X Y^T or Z.  ``gram_cache=False`` skips that cache
+    for the public single-block updates, which call :meth:`_block` alone.
+    Every n-by-n times n-by-r product (most of the time of an outer
+    iteration) goes through ``_mul_thin``, its fastest orientation.
     """
 
     def __init__(self, spec: ProblemSpec, params: RelaxationParams,
-                 config: SolverConfig):
+                 config: SolverConfig, gram_cache=True):
         self.spec = spec
         self.params = params
         self.config = config
@@ -188,7 +189,8 @@ class _Kernel:
         self._U = self._ZtU = None  # sigma-only retries reuse the last Z^T U
         self._misfit = None  # the last candidate's misfit when Z is materialized
         self.cache = (GramCache(spec.map.adjoint(spec.b))
-                      if isinstance(spec.map, FullVectorization) else None)
+                      if gram_cache and isinstance(spec.map, FullVectorization)
+                      else None)
         if config.scheme == "proximal" and not (
             isinstance(spec.psi, Zero) and isinstance(spec.phi, Zero)
         ):
@@ -203,19 +205,18 @@ class _Kernel:
 
     # -- outer-iteration setup -------------------------------------------
 
-    def begin_outer(self, X, Y, Z=None):
+    def begin_outer(self, X, Y):
         self.X = X
         self.Y = Y
         self.Gy = Y.T @ Y
         self._U = self._misfit = None
-        if Z is None and self.cache is not None:
+        if self.cache is not None:
             # Z Y without forming Z:  Z = az * X Y^T + bz * M
             self.Z = None
             MY = self._MV if Y is self._V else _mul_thin(self.cache.M, Y)
             self.ZY = self.az * (X @ self.Gy) + self.bz * MY
         else:
-            self.Z = (z_star(self.spec, self.params, X, Y)
-                      if Z is None else np.asarray(Z, dtype=float))
+            self.Z = z_star(self.spec, self.params, X, Y)
             self.ZY = _mul_thin(self.Z, Y)
         self.ynorm2 = spectral_norm_sq(Y)
 
@@ -337,20 +338,20 @@ def update_u(scheme, spec, params, X_k, Y_k, Z_k, mu):
     """Candidate U block for one scheme, given the auxiliary block Z_k."""
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    kern = _Kernel(spec, params, SolverConfig(scheme=scheme))
-    kern.begin_outer(np.asarray(X_k, dtype=float), np.asarray(Y_k, dtype=float),
-                     Z=Z_k)
-    return kern.update_u(mu)
+    X, Y = (np.asarray(W, dtype=float) for W in (X_k, Y_k))
+    Z = spec.map._check_matrix(np.asarray(Z_k, dtype=float))
+    kern = _Kernel(spec, params, SolverConfig(scheme=scheme), gram_cache=False)
+    return kern._block("U", spec.psi, X, Y, Y.T @ Y, _mul_thin(Z, Y), mu)
 
 
 def update_v(scheme, spec, params, U, Y_k, Z_k, sigma):
     """Candidate V block for one scheme, given U and the auxiliary block Z_k."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    U = np.asarray(U, dtype=float)
-    kern = _Kernel(spec, params, SolverConfig(scheme=scheme))
-    kern.begin_outer(U, np.asarray(Y_k, dtype=float), Z=Z_k)
-    return kern.update_v(U, sigma)
+    U, Y = (np.asarray(W, dtype=float) for W in (U, Y_k))
+    Z = spec.map._check_matrix(np.asarray(Z_k, dtype=float))
+    kern = _Kernel(spec, params, SolverConfig(scheme=scheme), gram_cache=False)
+    return kern._block("V", spec.phi, Y, U, U.T @ U, _mul_thin(Z.T, U), sigma)
 
 
 def init_state(spec: ProblemSpec, config: SolverConfig, X0=None, Y0=None):

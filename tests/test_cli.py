@@ -188,6 +188,34 @@ def test_cli_solve_unknown_config_key_names_it(tmp_path, capsys, key, value, nam
     assert not (tmp_path / "o").exists()
 
 
+RAW_CONFIG = """\
+dataset: {source: synthetic, n: 20, m: 3, seed: 7, noise_t: null}
+problem: {rank: 3, lambda: 1.0}
+relaxation: {alpha: 0.6}
+solver: {tol: 1e-9, max_time_sec: 1.0e3, max_iters: %s, seed: 0}
+"""
+
+
+def test_cli_reads_yaml_exponent_spellings(tmp_path, capsys):
+    # PyYAML reads 1e-9 and 1.0e3 as strings; each field takes its type
+    path = tmp_path / "config.yaml"
+    path.write_text(RAW_CONFIG % "10000")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["status"] == "Converged"
+    path.write_text(RAW_CONFIG % "1e4")
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+    assert "`solver.max_iters`: cannot read '1e4' as int" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_alpha(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, base_config(**{"relaxation.alpha": math.nan}))
+    code = main(["solve", "--config", cfg_path, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "alpha and gamma must be finite" in capsys.readouterr().err
+
+
 def test_cli_solve_sampling_map(tmp_path, capsys):
     from gsmf.operators import random_symmetric_omega
 
@@ -292,8 +320,27 @@ def test_cli_check_flags_inadmissible_relaxation(tmp_path, capsys):
     code = main(["check", "--config", cfg_path])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
-    failed = {i["name"] for i in report["items"] if not i["passed"]}
-    assert "relaxation_params" in failed
+    failed = {i["name"]: i["detail"] for i in report["items"] if not i["passed"]}
+    # the items that read the relaxation fail with the error of its one build
+    assert set(failed) == {"relaxation_params", "relaxation_identity",
+                           "descent_audit"}
+    assert len(set(failed.values())) == 1
+    assert "alpha must differ from 0 and 1" in failed["relaxation_params"]
+
+
+def test_cli_check_generates_the_data_once(tmp_path, capsys, monkeypatch):
+    from gsmf import data
+
+    gen_data, calls = data.gen_data, []
+
+    def counting_gen_data(recipe):
+        calls.append(recipe)
+        return gen_data(recipe)
+
+    monkeypatch.setattr(data, "gen_data", counting_gen_data)
+    cfg_path = write_config(tmp_path, base_config(**{"solver.max_iters": 20}))
+    assert main(["check", "--config", cfg_path]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_missing_config_file_is_an_error(tmp_path, capsys):

@@ -66,6 +66,11 @@ def test_relaxation_params_validation():
         RelaxationParams(alpha=0.6, gamma=0.0)
     with pytest.raises(ValueError, match="alpha"):
         RelaxationParams.from_alpha(1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            RelaxationParams.from_alpha(bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            RelaxationParams.from_alpha(0.6, gamma=bad)
 
 
 def test_from_alpha_derives_consistent_scalars():

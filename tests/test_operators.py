@@ -290,9 +290,13 @@ def test_sampling_map_from_array_equals_map_from_list():
 
 def test_load_omega_csv_roundtrip(tmp_path):
     path = tmp_path / "omega.csv"
-    path.write_text("# pairs\n2,1\n1,2\n")
-    assert load_omega_csv(path) == [(2, 1), (1, 2)]
+    path.write_text("# pairs\n2,1\n\n1,2\n")
+    assert load_omega_csv(path).tolist() == [[2, 1], [1, 2]]
     SymmetricSampling(2, load_omega_csv(path))
+    # the pairs are read as floats, so the map's own check names a fraction
+    path.write_text("1,1\n1.5,2\n")
+    with pytest.raises(ValueError, match=r"Omega entry .*1\.5.* is not a pair"):
+        SymmetricSampling(2, load_omega_csv(path))
 
 
 def _pairs(omega):

@@ -22,3 +22,14 @@ def test_star_import_provides_public_names():
     used = {"solve", "step", "update_u", "update_v", "z_star", "theta",
             "spectral_norm_sq", "RelaxationParams", "SolverConfig", "snmf_spec"}
     assert not used - namespace.keys()
+
+
+def test_readme_config_passes_check(tmp_path, capsys):
+    from gsmf.cli import main
+
+    block = re.search(r"Example `config.yaml`:\n\n```yaml\n(.*?)```",
+                      README.read_text(), re.S)
+    assert block, "README.md has no example config.yaml"
+    path = tmp_path / "config.yaml"
+    path.write_text(block.group(1))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 0

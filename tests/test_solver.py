@@ -5,6 +5,7 @@ import pytest
 
 from gsmf import diagnostics
 from gsmf.objective import RelaxationParams, f_lambda, relobj, snmf_spec, z_star
+from gsmf.operators import DimensionMismatchError
 from gsmf.regularizers import NonnegIndicator, Zero
 from gsmf.solver import (
     AlgorithmInvariantError,
@@ -210,6 +211,34 @@ def test_all_schemes_satisfy_their_inclusion():
         assert resid <= 1e-8
 
 
+@pytest.mark.parametrize("scheme", ["prox_linear", "hierarchical"])
+def test_single_block_updates_form_only_their_products(monkeypatch, scheme):
+    # each public update forms the one n-by-n product its block reads (Z Y
+    # or Z^T U) and no Gram cache of the full map
+    from gsmf import solver as solver_mod
+
+    spec, B = planted(12, 3, 4)
+    params = RelaxationParams.from_alpha(0.6)
+    rng = np.random.default_rng(5)
+    X, Y = rng.uniform(size=(12, 3)), rng.uniform(size=(12, 3))
+    Z = z_star(spec, params, X, Y)
+    mul_thin, products = solver_mod._mul_thin, []
+
+    def spy_mul_thin(A, W):
+        products.append(W)
+        return mul_thin(A, W)
+
+    def no_cache(*args):
+        raise AssertionError("a single-block update built a Gram cache")
+
+    monkeypatch.setattr(solver_mod, "_mul_thin", spy_mul_thin)
+    monkeypatch.setattr(solver_mod, "GramCache", no_cache)
+    U = update_u(scheme, spec, params, X, Y, Z, mu=2.0)
+    update_v(scheme, spec, params, U, Y, Z, sigma=3.0)
+    assert len(products) == 2
+    assert np.array_equal(products[0], Y) and np.array_equal(products[1], U)
+
+
 def test_update_rejects_nonpositive_parameters():
     spec, B = planted(4, 2, 0)
     params = RelaxationParams.from_alpha(0.6)
@@ -218,6 +247,12 @@ def test_update_rejects_nonpositive_parameters():
         update_u("prox_linear", spec, params, B, B, Z, 0.0)
     with pytest.raises(ValueError, match="sigma"):
         update_v("prox_linear", spec, params, B, B, Z, -1.0)
+    # Z_k is required and n-by-n
+    for bad in (None, Z[:3]):
+        with pytest.raises(DimensionMismatchError, match="4x4 matrix"):
+            update_u("prox_linear", spec, params, B, B, bad, 1.0)
+        with pytest.raises(DimensionMismatchError, match="4x4 matrix"):
+            update_v("prox_linear", spec, params, B, B, bad, 1.0)
 
 
 # --------------------------------------------------------------------------
