@@ -1,10 +1,15 @@
 """Command-line entry point: gen-data, solve, sweep, check.
 
 Runs are driven by a YAML config with dataset / problem / relaxation /
-solver / output / sweep sections; a section or field the program does not
-read is an error.  Flags override file values.  Traces go to CSV (one row
-per accepted outer iteration), run summaries and the `check` report to
-JSON.  Exit codes: 0 success/converged, 2 budget-limited, 1 error.
+solver / output / sweep sections.  One rule reads every value (:func:`_read`):
+an unknown section or field is an error, a missing or null field keeps its
+default, and a value reads as its default's type (a number parses a string,
+an int takes ``3.0``) or, if that reading would change it (``3.9`` for an
+int, ``"false"`` for a bool, ``true`` for a number), is an error naming the
+field.  Flags override file values, ``--out`` overrides ``output.dir``.
+Traces go to CSV (one row per accepted outer iteration), run summaries and
+the `check` report to JSON.  Exit codes: 0 success/converged, 2
+budget-limited, 1 error.
 """
 
 from __future__ import annotations
@@ -26,11 +31,7 @@ import yaml
 
 from . import data, diagnostics, operators, regularizers
 from .objective import ProblemSpec, RelaxationParams, f_lambda
-from .solver import (
-    STATUS_CONVERGED,
-    SolverConfig,
-    solve,
-)
+from .solver import STATUS_CONVERGED, SolverConfig, solve
 
 log = logging.getLogger("gsmf")
 
@@ -47,20 +48,46 @@ class ConfigFileError(ValueError):
     """A config file is missing a field or holds an inadmissible value."""
 
 
-def _require(section, key, path):
-    if not isinstance(section, dict) or key not in section:
-        raise ConfigFileError(f"missing field `{path}`")
-    return section[key]
+# the fields each config section may set, each mapped to its default, or to
+# its type when it must be set; a default of None takes any value
+SECTIONS = {
+    "dataset": {f.name: f.default for f in dataclasses.fields(data.DatasetRecipe)},
+    "problem": {"rank": int, "lambda": 0.0, "psi": None, "phi": None, "map": {}},
+    "relaxation": {"alpha": float, "gamma": None},
+    "solver": {f.name: f.default for f in dataclasses.fields(SolverConfig)},
+    "output": {"dir": ""},
+    "sweep": {**dict.fromkeys(SWEEP_AXES), "reps": 1},
+}
 
 
-def _check_fields(section, known, path):
-    """Reject a section that is not a mapping or names a field not in ``known``."""
-    if not isinstance(section, dict):
-        raise ConfigFileError(f"`{path}` must be a mapping")
-    unknown = set(section) - set(known)
+def _read(section, fields, path):
+    """A config section read by the module docstring's rule."""
+    unknown = sorted(set(section) - set(fields))
     if unknown:
-        raise ConfigFileError(f"unknown {path} field(s): {sorted(unknown)}")
-    return section
+        raise ConfigFileError(f"unknown {path or 'top-level'} field(s): {unknown}")
+    values = {}
+    for key, default in fields.items():
+        value, name = section.get(key), f"{path}.{key}" if path else key
+        kind = default if isinstance(default, type) else type(default)
+        if value is None and kind is default:  # a field that must be set
+            raise ConfigFileError(f"missing field `{name}`")
+        if value is None or default is None:
+            values[key] = default if value is None else value
+            continue
+        try:
+            values[key] = kind(value)
+            if isinstance(value, bool) != (kind is bool) or not (
+                    isinstance(value, str) and kind in (int, float)
+                    or values[key] == value or value != value):  # nan is nan
+                raise ValueError(f"reading {kind.__name__} changes the value")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigFileError(f"`{name}`: cannot read {value!r} as "
+                                  f"{kind.__name__}") from exc
+    return values
+
+
+def _section(cfg, name):
+    return _read(cfg.get(name) or {}, SECTIONS[name], name)  # a missing section is {}
 
 
 def load_config(path):
@@ -68,33 +95,12 @@ def load_config(path):
         cfg = yaml.safe_load(fh)
     if not isinstance(cfg, dict):
         raise ConfigFileError(f"config file {path} is not a mapping")
-    _check_fields(cfg, ("dataset", "problem", "relaxation", "solver", "output",
-                        "sweep"), "top-level")
-    _check_fields(cfg.get("output", {}), ("dir",), "output")
+    _read(cfg, dict.fromkeys(SECTIONS, {}), "")  # each section is a mapping
     return cfg
 
 
-def _typed_fields(cls, section, path):
-    """The fields a config section sets for dataclass ``cls``, each cast to
-    the type of its default (PyYAML reads ``1e-9`` as a string, which
-    ``float`` parses); a null keeps the default."""
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    fields = {}
-    for key, value in _check_fields(section, defaults, path).items():
-        if value is None:
-            continue
-        default = defaults[key]
-        try:
-            fields[key] = value if default is None else type(default)(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigFileError(f"`{path}.{key}`: cannot read {value!r} as "
-                                  f"{type(default).__name__}") from exc
-    return fields
-
-
 def build_recipe(cfg, seed_override=None):
-    ds = _typed_fields(data.DatasetRecipe, _require(cfg, "dataset", "dataset"),
-                       "dataset")
+    ds = _section(cfg, "dataset")
     if seed_override is not None:
         ds["seed"] = seed_override
     return data.DatasetRecipe(**ds)
@@ -102,45 +108,37 @@ def build_recipe(cfg, seed_override=None):
 
 def _regularizer(prob, key):
     try:
-        return regularizers.from_config(prob.get(key, {"kind": "nonneg"}))
-    except ValueError as exc:
+        return regularizers.from_config("nonneg" if prob[key] is None else prob[key])
+    except (TypeError, ValueError) as exc:
         raise ConfigFileError(f"problem.{key}: {exc}") from exc
 
 
 def build_spec(cfg, M):
-    prob = _check_fields(_require(cfg, "problem", "problem"),
-                         ("rank", "lambda", "psi", "phi", "map"), "problem")
-    rank = int(_require(prob, "rank", "problem.rank"))
-    lam = float(prob.get("lambda", 0.0))
-    psi = _regularizer(prob, "psi")
-    phi = _regularizer(prob, "phi")
+    prob = _section(cfg, "problem")
+    psi, phi = _regularizer(prob, "psi"), _regularizer(prob, "phi")
     n = M.shape[0]
-    map_cfg = _check_fields(prob.get("map", {"kind": "full"}),
-                            ("kind", "omega_csv"), "problem.map")
-    kind = map_cfg.get("kind", "full")
-    if kind == "full":
+    map_cfg = _read(prob["map"], {"kind": "full", "omega_csv": None}, "problem.map")
+    if map_cfg["kind"] == "full":
         amap = operators.FullVectorization(n)
-    elif kind == "sampling":
-        omega = operators.load_omega_csv(
-            _require(map_cfg, "omega_csv", "problem.map.omega_csv")
-        )
-        amap = operators.SymmetricSampling(n, omega)
+    elif map_cfg["kind"] == "sampling":
+        map_cfg = _read(map_cfg, {"kind": str, "omega_csv": str}, "problem.map")
+        amap = operators.SymmetricSampling(
+            n, operators.load_omega_csv(map_cfg["omega_csv"]))
     else:
-        raise ConfigFileError(f"unknown map kind `{kind}` in problem.map.kind")
-    return ProblemSpec(
-        map=amap, b=amap.apply(M), psi=psi, phi=phi, lam=lam, n=n, r=rank
-    )
+        raise ConfigFileError(f"`problem.map.kind`: unknown kind {map_cfg['kind']!r}")
+    return ProblemSpec(map=amap, b=amap.apply(M), psi=psi, phi=phi,
+                       lam=prob["lambda"], n=n, r=prob["rank"])
 
 
 def build_params(cfg):
-    relax = _check_fields(_require(cfg, "relaxation", "relaxation"),
-                          ("alpha", "gamma"), "relaxation")
-    alpha = float(_require(relax, "alpha", "relaxation.alpha"))
-    return RelaxationParams.from_alpha(alpha, gamma=relax.get("gamma"))
+    relax = _section(cfg, "relaxation")
+    if relax["gamma"] is not None:  # unset, gamma is its admissible minimum
+        relax = _read(relax, {"alpha": float, "gamma": float}, "relaxation")
+    return RelaxationParams.from_alpha(relax["alpha"], gamma=relax["gamma"])
 
 
 def build_solver_config(cfg, seed_override=None):
-    sol = _typed_fields(SolverConfig, cfg.get("solver", {}), "solver")
+    sol = _section(cfg, "solver")
     if seed_override is not None:
         sol["seed"] = seed_override
     return SolverConfig(**sol)
@@ -160,15 +158,12 @@ def write_trace_csv(path, records):
 
 def run_single(cfg, out_dir, seed=None, tag="run"):
     """Solve one configured instance; returns (summary dict, result)."""
-    recipe = build_recipe(cfg)
-    M = data.gen_data(recipe)
-    spec = build_spec(cfg, M)
+    spec = build_spec(cfg, data.gen_data(build_recipe(cfg)))
     params = build_params(cfg)
     config = build_solver_config(cfg, seed_override=seed)
     t0 = time.perf_counter()
     result = solve(spec, params, config)
     wall = time.perf_counter() - t0
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / f"{tag}_trace.csv"
     write_trace_csv(trace_path, result.records)
@@ -196,11 +191,17 @@ def run_single(cfg, out_dir, seed=None, tag="run"):
 # ---------------------------------------------------------------------------
 
 
+def _out_dir(args, cfg, default):
+    """``--out``, else ``output.dir``, else ``default``, as a Path (or None)."""
+    configured = _section(cfg, "output")["dir"]  # read also when --out is given
+    out = args.out or configured or default
+    return Path(out) if out else None
+
+
 def cmd_gen_data(args):
     cfg = load_config(args.config)
-    recipe = build_recipe(cfg, seed_override=args.seed)
-    M = data.gen_data(recipe)
-    out = Path(args.out or ".")
+    out = _out_dir(args, cfg, ".")
+    M = data.gen_data(build_recipe(cfg, seed_override=args.seed))
     out.mkdir(parents=True, exist_ok=True)
     path = out / "M.csv"
     data.save_matrix(path, M)
@@ -211,22 +212,21 @@ def cmd_gen_data(args):
 
 def cmd_solve(args):
     cfg = load_config(args.config)
-    out = args.out or cfg.get("output", {}).get("dir", "out")
-    summary, _ = run_single(cfg, out, seed=args.seed)
+    summary, _ = run_single(cfg, _out_dir(args, cfg, "out"), seed=args.seed)
     print(json.dumps({k: v for k, v in summary.items() if k != "config"}, indent=2))
     return 0 if summary["status"] == STATUS_CONVERGED else 2
 
 
-def _sweep_points(cfg):
-    """The cartesian product of every named sweep axis, in SWEEP_AXES order."""
-    sweep = _check_fields(_require(cfg, "sweep", "sweep"), (*SWEEP_AXES, "reps"),
-                          "sweep")
-    axes = [axis for axis in SWEEP_AXES if axis in sweep]
+def _sweep_points(sweep):
+    """The named sweep axes' cartesian product; each value is read as its field."""
+    axes = [axis for axis in SWEEP_AXES if sweep[axis] is not None]
     if not axes:
         raise ConfigFileError(f"sweep section names no axis {tuple(SWEEP_AXES)}")
     for axis in axes:
-        if not sweep[axis]:
-            raise ConfigFileError(f"sweep axis `{axis}` has an empty value list")
+        if not isinstance(sweep[axis], list) or not sweep[axis]:
+            raise ConfigFileError(f"sweep axis `{axis}` needs a non-empty list")
+        for value in sweep[axis]:
+            _read({axis: value}, {axis: SECTIONS[SWEEP_AXES[axis]][axis]}, "sweep")
     return [dict(zip(axes, values))
             for values in itertools.product(*(sweep[axis] for axis in axes))]
 
@@ -234,7 +234,7 @@ def _sweep_points(cfg):
 def _apply_point(cfg, point):
     c = copy.deepcopy(cfg)
     for axis, value in point.items():
-        section = c.setdefault(SWEEP_AXES[axis], {})
+        section = c[SWEEP_AXES[axis]] = c.get(SWEEP_AXES[axis]) or {}
         if axis == "alpha":
             section.pop("gamma", None)  # its admissible minimum moves with alpha
         section[axis] = value
@@ -243,22 +243,20 @@ def _apply_point(cfg, point):
 
 def cmd_sweep(args):
     cfg = load_config(args.config)
-    points = _sweep_points(cfg)
-    reps = int(cfg.get("sweep", {}).get("reps", 1))
+    sweep = _section(cfg, "sweep")
+    points = _sweep_points(sweep)
     base_seed = build_solver_config(cfg, seed_override=args.seed).seed
-    out = Path(args.out or cfg.get("output", {}).get("dir", "out"))
+    out = _out_dir(args, cfg, "out")
     out.mkdir(parents=True, exist_ok=True)
 
     def run_point(idx_point):
         idx, point = idx_point
         rows = []
-        for rep in range(reps):
+        for rep in range(sweep["reps"]):
             tag = "point%02d_rep%02d" % (idx, rep)
             try:
-                summary, _ = run_single(
-                    _apply_point(cfg, point), out, seed=base_seed + rep, tag=tag
-                )
-                rows.append(summary)
+                rows.append(run_single(_apply_point(cfg, point), out,
+                                       seed=base_seed + rep, tag=tag)[0])
             except Exception as exc:  # noqa: BLE001 - sweep must survive bad points
                 log.error("sweep point %s rep %d failed: %s", point, rep, exc)
                 rows.append(None)
@@ -377,7 +375,7 @@ def cmd_check(args):
     cfg = load_config(args.config)
     items = _check_items(cfg)
     report = {"items": items, "all_passed": all(it["passed"] for it in items)}
-    out = Path(args.out) if args.out else None
+    out = _out_dir(args, cfg, None)
     text = json.dumps(report, indent=2)
     if out:
         out.mkdir(parents=True, exist_ok=True)

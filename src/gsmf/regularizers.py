@@ -137,4 +137,4 @@ def from_config(cfg) -> Regularizer:
     unknown = sorted(set(cfg) - {"kind", *fields})
     if unknown:
         raise ValueError(f"regularizer kind {kind!r} takes no field(s) {unknown}")
-    return cls(*(cfg.get(name, 1.0) for name in fields))
+    return cls(*(float(cfg.get(name, 1.0)) for name in fields))

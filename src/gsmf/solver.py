@@ -165,18 +165,16 @@ def reference_value_update(mode, R_k, f_new, p_next=None, history=(),
 
 
 class _Kernel:
-    """Per-solve scratch holding the block-update formulas.
+    """Per-solve scratch: the products the block updates and the objective read.
 
-    Works on a materialized Z on a general map; on the full vectorization
-    (symmetric NMF) it works matrix-free through the target M and the Gram
-    cache, never forming X Y^T or Z.  ``gram_cache=False`` skips that cache
-    for the public single-block updates, which call :meth:`_block` alone.
-    Every n-by-n times n-by-r product (most of the time of an outer
-    iteration) goes through ``_mul_thin``, its fastest orientation.
+    On a general map it materializes Z; on the full vectorization (symmetric
+    NMF) it works matrix-free through the target M and the Gram cache, never
+    forming X Y^T or Z.  Every n-by-n times n-by-r product (most of the time
+    of an outer iteration) goes through ``_mul_thin``, its fastest orientation.
     """
 
     def __init__(self, spec: ProblemSpec, params: RelaxationParams,
-                 config: SolverConfig, gram_cache=True):
+                 config: SolverConfig):
         self.spec = spec
         self.params = params
         self.config = config
@@ -189,19 +187,8 @@ class _Kernel:
         self._U = self._ZtU = None  # sigma-only retries reuse the last Z^T U
         self._misfit = None  # the last candidate's misfit when Z is materialized
         self.cache = (GramCache(spec.map.adjoint(spec.b))
-                      if gram_cache and isinstance(spec.map, FullVectorization)
-                      else None)
-        if config.scheme == "proximal" and not (
-            isinstance(spec.psi, Zero) and isinstance(spec.phi, Zero)
-        ):
-            raise ConfigError(
-                "the proximal scheme has a closed form only for the zero "
-                "regularizer; use prox_linear or hierarchical instead"
-            )
-        if config.scheme == "hierarchical" and not (
-            spec.psi.column_separable and spec.phi.column_separable
-        ):
-            raise ConfigError("hierarchical scheme needs column-separable regularizers")
+                      if isinstance(spec.map, FullVectorization) else None)
+        _check_scheme(config.scheme, spec)
 
     # -- outer-iteration setup -------------------------------------------
 
@@ -223,7 +210,8 @@ class _Kernel:
     # -- blocks -------------------------------------------------------------
 
     def update_u(self, mu):
-        return self._block("U", self.spec.psi, self.X, self.Y, self.Gy, self.ZY, mu)
+        return _block(self.config.scheme, self.spec, self.params.alpha, "U",
+                      self.spec.psi, self.X, self.Y, self.Gy, self.ZY, mu)
 
     def update_v(self, U, sigma):
         if U is not self._U:
@@ -233,40 +221,8 @@ class _Kernel:
                 self._ZtU = self.az * (self.Y @ (self.X.T @ U)) + self.bz * self._MtU
             else:
                 self._ZtU = _mul_thin(self.Z.T, U)
-        return self._block("V", self.spec.phi, self.Y, U, U.T @ U, self._ZtU, sigma)
-
-    def _block(self, name, reg, prev, other, G, ZO, step):
-        """One block update; U and V are the same subproblem with roles swapped.
-
-        The block W replaces ``prev`` and couples to ``other`` through
-        ``(alpha/2)||W other^T - Z||^2 + (lam/2)||W - other||^2`` plus the
-        proximal term ``(step/2)||W - prev||^2``; ``G = other^T other`` and
-        ``ZO = Z other`` (``Z^T other`` for V).  The U block passes
-        (Psi, X, Y, Z Y, mu) and the V block (Phi, Y, U, Z^T U, sigma).
-        """
-        scheme = self.config.scheme
-        lam = self.spec.lam
-        a = self.params.alpha
-        if scheme == "prox_linear":
-            grad = a * (prev @ G - ZO)
-            t = 1.0 / (lam + step)
-            return reg.prox((lam * other + step * prev - grad) * t, t)
-        if scheme == "proximal":
-            A = a * G + (lam + step) * np.eye(self.spec.r)
-            rhs = a * ZO + lam * other + step * prev
-            return _solve_rxr(A, rhs)
-        # hierarchical: Gauss-Seidel sweep over the columns
-        W = prev.copy()
-        for i in range(self.spec.r):
-            d = a * G[i, i] + lam + step
-            if d <= 0:
-                raise AlgorithmInvariantError(
-                    f"nonpositive column curvature {d} in hierarchical {name}-update"
-                )
-            p = ZO[:, i] - (W @ G[:, i] - W[:, i] * G[i, i])
-            w = (a * p + lam * other[:, i] + step * prev[:, i]) / d
-            W[:, i] = reg.prox_column(i, w, 1.0 / d)
-        return W
+        return _block(self.config.scheme, self.spec, self.params.alpha, "V",
+                      self.spec.phi, self.Y, U, U.T @ U, self._ZtU, sigma)
 
     # -- stationarity --------------------------------------------------------
 
@@ -319,6 +275,51 @@ class _Kernel:
         return val
 
 
+def _check_scheme(scheme, spec):
+    """Reject an unknown scheme, or one the problem's regularizers do not admit."""
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    if scheme == "proximal" and not (isinstance(spec.psi, Zero)
+                                     and isinstance(spec.phi, Zero)):
+        raise ConfigError("the proximal scheme has a closed form only for the zero "
+                          "regularizer; use prox_linear or hierarchical instead")
+    if scheme == "hierarchical" and not (spec.psi.column_separable
+                                         and spec.phi.column_separable):
+        raise ConfigError("hierarchical scheme needs column-separable regularizers")
+
+
+def _block(scheme, spec, alpha, name, reg, prev, other, G, ZO, step):
+    """One block update; U and V are the same subproblem with roles swapped.
+
+    The block W replaces ``prev`` and couples to ``other`` through
+    ``(alpha/2)||W other^T - Z||^2 + (lam/2)||W - other||^2`` plus the
+    proximal term ``(step/2)||W - prev||^2``; ``G = other^T other`` and
+    ``ZO = Z other`` (``Z^T other`` for V).  The U block passes
+    ("U", Psi, X, Y, Z Y, mu) and the V block ("V", Phi, Y, U, Z^T U, sigma).
+    """
+    lam = spec.lam
+    if scheme == "prox_linear":
+        grad = alpha * (prev @ G - ZO)
+        t = 1.0 / (lam + step)
+        return reg.prox((lam * other + step * prev - grad) * t, t)
+    if scheme == "proximal":
+        A = alpha * G + (lam + step) * np.eye(spec.r)
+        rhs = alpha * ZO + lam * other + step * prev
+        return _solve_rxr(A, rhs)
+    # hierarchical: Gauss-Seidel sweep over the columns
+    W = prev.copy()
+    for i in range(spec.r):
+        d = alpha * G[i, i] + lam + step
+        if d <= 0:
+            raise AlgorithmInvariantError(
+                f"nonpositive column curvature {d} in hierarchical {name}-update"
+            )
+        p = ZO[:, i] - (W @ G[:, i] - W[:, i] * G[i, i])
+        w = (alpha * p + lam * other[:, i] + step * prev[:, i]) / d
+        W[:, i] = reg.prox_column(i, w, 1.0 / d)
+    return W
+
+
 def _roundoff_bound(f, bnorm):
     """Absolute roundoff error of an objective value f evaluated directly."""
     if math.isinf(f):
@@ -338,20 +339,20 @@ def update_u(scheme, spec, params, X_k, Y_k, Z_k, mu):
     """Candidate U block for one scheme, given the auxiliary block Z_k."""
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
+    _check_scheme(scheme, spec)
     X, Y = (np.asarray(W, dtype=float) for W in (X_k, Y_k))
-    Z = spec.map._check_matrix(np.asarray(Z_k, dtype=float))
-    kern = _Kernel(spec, params, SolverConfig(scheme=scheme), gram_cache=False)
-    return kern._block("U", spec.psi, X, Y, Y.T @ Y, _mul_thin(Z, Y), mu)
+    ZY = _mul_thin(spec.map._check_matrix(np.asarray(Z_k, dtype=float)), Y)
+    return _block(scheme, spec, params.alpha, "U", spec.psi, X, Y, Y.T @ Y, ZY, mu)
 
 
 def update_v(scheme, spec, params, U, Y_k, Z_k, sigma):
     """Candidate V block for one scheme, given U and the auxiliary block Z_k."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_scheme(scheme, spec)
     U, Y = (np.asarray(W, dtype=float) for W in (U, Y_k))
-    Z = spec.map._check_matrix(np.asarray(Z_k, dtype=float))
-    kern = _Kernel(spec, params, SolverConfig(scheme=scheme), gram_cache=False)
-    return kern._block("V", spec.phi, Y, U, U.T @ U, _mul_thin(Z.T, U), sigma)
+    ZtU = _mul_thin(spec.map._check_matrix(np.asarray(Z_k, dtype=float)).T, U)
+    return _block(scheme, spec, params.alpha, "V", spec.phi, Y, U, U.T @ U, ZtU, sigma)
 
 
 def init_state(spec: ProblemSpec, config: SolverConfig, X0=None, Y0=None):

@@ -8,6 +8,7 @@ import yaml
 
 from gsmf.cli import TRACE_HEADER, main
 from gsmf.data import DatasetRecipe, gen_data, load_matrix, save_matrix
+from gsmf.objective import RelaxationParams
 
 
 def base_config(**overrides):
@@ -100,6 +101,19 @@ def test_cli_gen_data_writes_deterministic_matrix(tmp_path, capsys):
     assert main(["gen-data", "--config", cfg_path, "--out", str(out1)]) == 0
     assert main(["gen-data", "--config", cfg_path, "--out", str(out2)]) == 0
     assert (out1 / "M.csv").read_bytes() == (out2 / "M.csv").read_bytes()
+
+
+def test_cli_gen_data_writes_to_output_dir(tmp_path, capsys, monkeypatch):
+    # --out, else output.dir, else the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, base_config(**{"output.dir": "gd"}))
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert (tmp_path / "gd" / "M.csv").exists()
+    assert main(["gen-data", "--config", cfg_path, "--out", "flag"]) == 0
+    assert (tmp_path / "flag" / "M.csv").exists()
+    assert main(["gen-data", "--config", write_config(tmp_path, base_config(),
+                                                      name="plain.yaml")]) == 0
+    assert (tmp_path / "M.csv").exists()
 
 
 # --------------------------------------------------------------------------
@@ -209,6 +223,89 @@ def test_cli_reads_yaml_exponent_spellings(tmp_path, capsys):
     assert "`solver.max_iters`: cannot read '1e4' as int" in capsys.readouterr().err
 
 
+# each config section as raw YAML flow-mapping entries, so that a case can set
+# a field to any YAML text (yaml.safe_dump would quote or retype it)
+RAW_SECTIONS = {
+    "dataset": {"source": "synthetic", "n": "20", "m": "3", "seed": "7",
+                "noise_t": "0.0"},
+    "problem": {"rank": "3", "lambda": "1.0"},
+    "relaxation": {"alpha": "0.6"},
+    "solver": {"tol": "1e-9", "max_iters": "300", "seed": "0"},
+    "sweep": {"alpha": "[0.6]"},
+}
+
+
+def write_raw_config(tmp_path, **fields):
+    """RAW_SECTIONS with each ``section__field=text`` set, as raw YAML."""
+    sections = {name: dict(entries) for name, entries in RAW_SECTIONS.items()}
+    for key, text in fields.items():
+        section, field = key.split("__")
+        sections.setdefault(section, {})[field] = text
+    path = tmp_path / "config.yaml"
+    path.write_text("".join(
+        f"{name}: {{{', '.join(f'{k}: {v}' for k, v in entries.items())}}}\n"
+        for name, entries in sections.items()))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, field, text, message", [
+    ("solve", "problem.rank", "1e1", "`problem.rank`: cannot read '1e1' as int"),
+    ("solve", "problem.rank", "2.5", "`problem.rank`: cannot read 2.5 as int"),
+    ("solve", "problem.lambda", "abc", "`problem.lambda`: cannot read 'abc' as float"),
+    ("solve", "relaxation.alpha", "abc",
+     "`relaxation.alpha`: cannot read 'abc' as float"),
+    ("solve", "relaxation.gamma", "abc",
+     "`relaxation.gamma`: cannot read 'abc' as float"),
+    ("solve", "dataset.n", "20.5", "`dataset.n`: cannot read 20.5 as int"),
+    ("solve", "dataset.normalize", '"false"',
+     "`dataset.normalize`: cannot read 'false' as bool"),
+    ("solve", "solver.max_iters", "3.9", "`solver.max_iters`: cannot read 3.9 as int"),
+    ("solve", "solver.max_iters", "true",
+     "`solver.max_iters`: cannot read True as int"),
+    ("solve", "solver.audit", '"false"', "`solver.audit`: cannot read 'false' as bool"),
+    ("solve", "output.dir", "5", "`output.dir`: cannot read 5 as str"),
+    ("solve", "output.dri", "o", "unknown output field(s): ['dri']"),
+    ("solve", "problem.psi", "{kind: l1, weight: abc}",
+     "problem.psi: could not convert string to float: 'abc'"),
+    ("gen-data", "dataset.symmetrize_noise", '"false"',
+     "`dataset.symmetrize_noise`: cannot read 'false' as bool"),
+    ("sweep", "sweep.reps", "1.7", "`sweep.reps`: cannot read 1.7 as int"),
+    ("sweep", "sweep.rank", "[2, 2.5]", "`sweep.rank`: cannot read 2.5 as int"),
+    ("sweep", "sweep.alpha", "0.6", "sweep axis `alpha` needs a non-empty list"),
+])
+def test_cli_misread_value_is_an_error_naming_its_field(tmp_path, capsys, monkeypatch,
+                                                        command, field, text, message):
+    # a value the field's type would truncate or coerce stops the run at once
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_raw_config(tmp_path, **{field.replace(".", "__"): text})
+    assert main([command, "--config", cfg_path]) == 1
+    assert main([command, "--config", cfg_path, "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" * 2
+    assert not {p.name for p in tmp_path.iterdir()} - {"config.yaml"}
+
+
+def test_cli_reads_the_spellings_that_read_today(tmp_path, capsys):
+    from gsmf.cli import build_params, build_solver_config, build_spec, load_config
+
+    cfg_path = write_raw_config(
+        tmp_path, solver__tol="1e-9", solver__max_time_sec="1.0e3",
+        solver__mu_min="1", dataset__noise_t="null", problem__rank="3.0",
+        problem__psi="{kind: l1, weight: 1e-3}", relaxation__gamma="null")
+    cfg = load_config(cfg_path)
+    config = build_solver_config(cfg)
+    assert (config.tol, config.max_time_sec, config.mu_min) == (1e-9, 1e3, 1.0)
+    assert type(config.mu_min) is float
+    spec = build_spec(cfg, np.eye(20))
+    assert spec.r == 3 and type(spec.r) is int
+    assert spec.psi.weight == 0.001
+    assert build_params(cfg) == RelaxationParams.from_alpha(0.6)  # gamma's minimum
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg_path, "--out", str(out)]) in (0, 2)
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["config"]["problem"]["rank"] == 3.0  # echoed as written
+
+
 def test_cli_rejects_non_finite_alpha(tmp_path, capsys):
     cfg_path = write_config(tmp_path, base_config(**{"relaxation.alpha": math.nan}))
     code = main(["solve", "--config", cfg_path, "--out", str(tmp_path / "o")])
@@ -271,6 +368,16 @@ def test_cli_sweep_survives_failing_point(tmp_path, capsys):
     rows = read_sweep(out / "sweep.csv")
     assert rows[0]["failed"] == "1"
     assert rows[1]["failed"] == "0"
+
+
+def test_cli_sweep_axis_fills_a_null_section(tmp_path, capsys):
+    # a null section reads as empty; the axis sets its field in each point
+    cfg = base_config(relaxation=None, **{"solver.max_iters": 50})
+    cfg["sweep"] = {"alpha": [0.6]}
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out",
+                 str(out)]) == 0
+    assert read_sweep(out / "sweep.csv")[0]["failed"] == "0"
 
 
 def test_cli_sweep_noise_rank_grid(tmp_path, capsys):
@@ -341,6 +448,14 @@ def test_cli_check_generates_the_data_once(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, base_config(**{"solver.max_iters": 20}))
     assert main(["check", "--config", cfg_path]) == 0
     assert len(calls) == 1
+
+
+def test_cli_check_writes_to_output_dir(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = base_config(**{"solver.max_iters": 20, "output.dir": "chk"})
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
+    report = json.loads((tmp_path / "chk" / "check.json").read_text())
+    assert report == json.loads(capsys.readouterr().out)
 
 
 def test_cli_missing_config_file_is_an_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Property tests: each map's misfit, misfit products and in-place adjoint
-correction against the dense oracle."""
+correction against the dense oracle; the adjoint identity, the partial
+isometry, and the relaxation identity Theta(X, Y, z*(X, Y)) = F(X, Y)."""
 
 import numpy as np
 import pytest
@@ -7,12 +8,20 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from gsmf.objective import (  # noqa: E402
+    ProblemSpec,
+    RelaxationParams,
+    f_lambda,
+    theta,
+    z_star,
+)
 from gsmf.operators import (  # noqa: E402
     FullVectorization,
     LinearMap,
     SymmetricSampling,
     random_symmetric_omega,
 )
+from gsmf.regularizers import Zero  # noqa: E402
 
 sizes = st.integers(min_value=1, max_value=12)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -107,3 +116,45 @@ def test_sampling_flat_index_matches_fancy_index(n, seed, density, layout):
     if base is not None:  # the view's writes land in its base, and only there
         base[1::2, ::3] = want
         assert np.array_equal(Z.base, base)
+
+
+def _map(kind, n, density, rng):
+    if kind == "full":
+        return FullVectorization(n)
+    return SymmetricSampling(n, random_symmetric_omega(n, density, rng))
+
+
+maps = st.sampled_from(["full", "sampling"])
+densities = st.floats(min_value=0.05, max_value=1.0)
+# every alpha outside {0, 1} is admissible; keep clear of both so that
+# beta = alpha / (alpha - 1) stays moderate
+alphas = st.one_of(st.floats(-5.0, -0.1), st.floats(0.1, 0.9), st.floats(1.1, 5.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=maps, n=sizes, r=st.integers(min_value=1, max_value=4), seed=seeds,
+       density=densities, alpha=alphas, lam=st.floats(0.0, 2.0))
+def test_theta_at_z_star_equals_objective(kind, n, r, seed, density, alpha, lam):
+    rng = np.random.default_rng(seed)
+    amap = _map(kind, n, density, rng)
+    r = min(r, n)
+    spec = ProblemSpec(amap, rng.standard_normal(amap.q), Zero(), Zero(), lam,
+                       n=n, r=r)
+    params = RelaxationParams.from_alpha(alpha)
+    X, Y = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+    f = f_lambda(spec, X, Y)
+    got = theta(spec, params, X, Y, z_star(spec, params, X, Y))
+    assert abs(got - f) <= 1e-10 * (1.0 + abs(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=maps, n=sizes, seed=seeds, density=densities)
+def test_adjoint_identity_and_partial_isometry(kind, n, seed, density):
+    rng = np.random.default_rng(seed)
+    amap = _map(kind, n, density, rng)
+    U = rng.standard_normal((n, n))
+    v = rng.standard_normal(amap.q)
+    # <A(U), v> = <U, A*(v)>, and A A* is the identity
+    lhs, rhs = float(amap.apply(U) @ v), float(np.sum(U * amap.adjoint(v)))
+    assert abs(lhs - rhs) <= 1e-12 * (1.0 + np.abs(U).sum() * np.abs(v).max())
+    assert np.array_equal(amap.apply(amap.adjoint(v)), v)

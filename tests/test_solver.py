@@ -239,6 +239,17 @@ def test_single_block_updates_form_only_their_products(monkeypatch, scheme):
     assert np.array_equal(products[0], Y) and np.array_equal(products[1], U)
 
 
+def test_update_rejects_a_scheme_the_problem_does_not_admit():
+    spec, B = planted(4, 2, 0)  # nonnegative regularizers
+    params = RelaxationParams.from_alpha(0.6)
+    Z = z_star(spec, params, B, B)
+    for update in (update_u, update_v):
+        with pytest.raises(ConfigError, match="unknown scheme 'newton'"):
+            update("newton", spec, params, B, B, Z, 1.0)
+        with pytest.raises(ConfigError, match="proximal"):
+            update("proximal", spec, params, B, B, Z, 1.0)
+
+
 def test_update_rejects_nonpositive_parameters():
     spec, B = planted(4, 2, 0)
     params = RelaxationParams.from_alpha(0.6)
