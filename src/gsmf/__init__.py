@@ -45,7 +45,6 @@ from .solver import (
     SolverState,
     init_state,
     inner_iteration_budget,
-    reference_value_update,
     solve,
     step,
     update_u,

@@ -244,6 +244,9 @@ def _apply_point(cfg, point):
 def cmd_sweep(args):
     cfg = load_config(args.config)
     sweep = _section(cfg, "sweep")
+    if sweep["reps"] < 1:
+        raise ConfigFileError(f"`sweep.reps`: need at least 1 run per point, "
+                              f"got {sweep['reps']}")
     points = _sweep_points(sweep)
     base_seed = build_solver_config(cfg, seed_override=args.seed).seed
     out = _out_dir(args, cfg, "out")

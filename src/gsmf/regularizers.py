@@ -123,7 +123,8 @@ _KINDS = {
 
 def from_config(cfg) -> Regularizer:
     """Build a regularizer from a config mapping like {kind: l1, weight: 0.5};
-    ``weight`` defaults to 1, and a field the kind does not take is an error."""
+    ``weight`` defaults to 1 and is a number, not a bool, and a field the kind
+    does not take is an error."""
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
     if not isinstance(cfg, dict):
@@ -137,4 +138,6 @@ def from_config(cfg) -> Regularizer:
     unknown = sorted(set(cfg) - {"kind", *fields})
     if unknown:
         raise ValueError(f"regularizer kind {kind!r} takes no field(s) {unknown}")
+    if isinstance(cfg.get("weight"), bool):
+        raise ValueError(f"weight must be a number, got {cfg['weight']!r}")
     return cls(*(float(cfg.get(name, 1.0)) for name in fields))

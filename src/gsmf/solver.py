@@ -4,7 +4,8 @@ Each outer iteration: (1) refresh the auxiliary block Z in closed form,
 (2) produce candidates (U, V) by one of three block-update schemes under
 proximal parameters (mu, sigma), backtracking on those parameters until the
 nonmonotone acceptance test holds, (3) commit and update the reference
-value (a running convex combination by default, or a windowed max).
+value R: ``R <- (1 - p_const) R + p_const f`` (average, the default) or
+the largest of the last ``window + 1`` accepted values (max).
 
 The backtracking caps mu at ``mu_max = (alpha + 2 gamma rho) ||Y||^2 + c``;
 once the cap is hit, only sigma is escalated (with its own cap from ||U||)
@@ -16,7 +17,7 @@ that budget signals an implementation bug and raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +64,6 @@ class SolverConfig:
     sigma_max0: float = 1e6
     tau: float = 4.0
     c: float = 1e-4
-    p_min: float = 0.01
     tol: float = 1e-9
     consec_required: int = 3
     max_iters: int = 1_000_000
@@ -86,14 +86,10 @@ class SolverConfig:
             raise ConfigError("tau must exceed 1")
         if self.c <= 0:
             raise ConfigError("c must be positive")
-        if not (0 < self.p_min < 1):
-            raise ConfigError("p_min must lie in (0, 1)")
-        if self.line_search == "average" and not (
-            self.p_min <= self.p_const <= 1
-        ):
-            raise ConfigError("need p_min <= p_const <= 1 for average line search")
-        if self.line_search == "max" and self.window < 1:
-            raise ConfigError("max-type window must be >= 1")
+        if not (0 < self.p_const <= 1):
+            raise ConfigError("p_const must lie in (0, 1]")
+        if self.window < 1:
+            raise ConfigError("window must be >= 1")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
         if self.consec_required < 1:
@@ -128,11 +124,10 @@ class SolverState:
     mu_bar: float
     sigma_bar: float
     f_value: float
-    f_history: list = field(default_factory=list)
+    # the last window + 1 accepted values, each as (f, its roundoff error)
+    history: list
     # running estimate of the absolute roundoff error carried by R
     R_err: float = 0.0
-    err_history: list = field(default_factory=list)
-    consec_small: int = 0
     elapsed: float = 0.0
 
 
@@ -144,24 +139,6 @@ class SolveResult:
     status: str
     x0: np.ndarray
     y0: np.ndarray
-
-
-def reference_value_update(mode, R_k, f_new, p_next=None, history=(),
-                           window=3, p_min=0.0):
-    """Next reference value.
-
-    ``average``: convex combination (1 - p) R_k + p f_new with p in
-    [p_min, 1].  ``max``: max over the trailing window of objective values,
-    including f_new.
-    """
-    if mode == "average":
-        if p_next is None or not (p_min <= p_next <= 1.0):
-            raise ValueError(f"p must lie in [{p_min}, 1], got {p_next}")
-        return (1.0 - p_next) * R_k + p_next * f_new
-    if mode == "max":
-        vals = list(history)[-(window):] + [f_new]
-        return max(vals)
-    raise ValueError(f"unknown reference mode {mode!r}")
 
 
 class _Kernel:
@@ -374,7 +351,7 @@ def init_state(spec: ProblemSpec, config: SolverConfig, X0=None, Y0=None):
     err0 = _roundoff_bound(f0, spec.bnorm)
     return SolverState(
         k=0, X=X0, Y=Y0, R=f0, mu_bar=1.0, sigma_bar=1.0,
-        f_value=f0, f_history=[f0], R_err=err0, err_history=[err0],
+        f_value=f0, history=[(f0, err0)], R_err=err0,
     )
 
 
@@ -464,16 +441,11 @@ def step(state: SolverState, spec: ProblemSpec, params: RelaxationParams,
     state.X, state.Y = U, V
     state.mu_bar, state.sigma_bar = mu, sigma
     state.f_value = f_new
-    state.f_history.append(f_new)
-    state.err_history.append(kern.f_err)
-    if len(state.f_history) > config.window + 1:
-        del state.f_history[: -(config.window + 1)]
-        del state.err_history[: -(config.window + 1)]
+    state.history.append((f_new, kern.f_err))
+    del state.history[: -(config.window + 1)]
     if config.line_search == "average":
         p = config.p_const
-        R_new = reference_value_update(
-            "average", state.R, f_new, p_next=p, p_min=config.p_min
-        )
+        R_new = (1.0 - p) * state.R + p * f_new
         # average-mode monotonicity invariant: allow only rounding slack
         slack = 1e-12 * (1.0 + abs(state.R)) + accept_slack
         if R_new > state.R + slack:
@@ -482,10 +454,8 @@ def step(state: SolverState, spec: ProblemSpec, params: RelaxationParams,
             raise AlgorithmInvariantError("objective exceeded the reference value")
         state.R_err = (1.0 - p) * state.R_err + p * kern.f_err
     else:
-        R_new = reference_value_update(
-            "max", state.R, f_new, history=state.f_history[:-1], window=config.window
-        )
-        state.R_err = max(state.err_history[-(config.window + 1):])
+        R_new = max(f for f, _ in state.history)
+        state.R_err = max(err for _, err in state.history)
     state.R = R_new
     state.k += 1
     state.elapsed += _work_seconds(spec.n, spec.r, inner)
@@ -522,6 +492,7 @@ def solve(spec: ProblemSpec, params: RelaxationParams, config: SolverConfig,
     records = []
     status = STATUS_ITER_LIMIT
     f_prev = state.f_value
+    consec_small = 0
     while True:
         if state.elapsed >= config.max_time_sec:
             status = STATUS_TIME_LIMIT
@@ -533,11 +504,8 @@ def solve(spec: ProblemSpec, params: RelaxationParams, config: SolverConfig,
         records.append(rec)
         rel_change = abs(state.f_value - f_prev) / (state.f_value + 1.0)
         f_prev = state.f_value
-        if rel_change <= config.tol:
-            state.consec_small += 1
-        else:
-            state.consec_small = 0
-        if state.consec_small >= config.consec_required:
+        consec_small = consec_small + 1 if rel_change <= config.tol else 0
+        if consec_small >= config.consec_required:
             status = STATUS_CONVERGED
             break
     return SolveResult(

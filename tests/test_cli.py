@@ -267,9 +267,15 @@ def write_raw_config(tmp_path, **fields):
     ("solve", "output.dri", "o", "unknown output field(s): ['dri']"),
     ("solve", "problem.psi", "{kind: l1, weight: abc}",
      "problem.psi: could not convert string to float: 'abc'"),
+    ("solve", "problem.psi", "{kind: l1, weight: true}",
+     "problem.psi: weight must be a number, got True"),
+    ("solve", "solver.p_min", "0.01", "unknown solver field(s): ['p_min']"),
     ("gen-data", "dataset.symmetrize_noise", '"false"',
      "`dataset.symmetrize_noise`: cannot read 'false' as bool"),
     ("sweep", "sweep.reps", "1.7", "`sweep.reps`: cannot read 1.7 as int"),
+    ("sweep", "sweep.reps", "0", "`sweep.reps`: need at least 1 run per point, got 0"),
+    ("sweep", "sweep.reps", "-1",
+     "`sweep.reps`: need at least 1 run per point, got -1"),
     ("sweep", "sweep.rank", "[2, 2.5]", "`sweep.rank`: cannot read 2.5 as int"),
     ("sweep", "sweep.alpha", "0.6", "sweep axis `alpha` needs a non-empty list"),
 ])
@@ -283,6 +289,19 @@ def test_cli_misread_value_is_an_error_naming_its_field(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err == f"error: {message}\n" * 2
     assert not {p.name for p in tmp_path.iterdir()} - {"config.yaml"}
+
+
+def test_cli_solve_runs_a_p_const_below_one_percent(tmp_path, capsys):
+    # the average rule needs only 0 < p_const <= 1
+    cfg_path = write_raw_config(tmp_path, solver__p_const="0.005")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 2
+    with open(out / "run_trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 300
+    for prev, row in zip(rows, rows[1:]):
+        R = (1.0 - 0.005) * float(prev["ref_value"]) + 0.005 * float(row["f_value"])
+        assert float(row["ref_value"]) == R
 
 
 def test_cli_reads_the_spellings_that_read_today(tmp_path, capsys):

@@ -118,6 +118,8 @@ def test_from_config():
     assert from_config({"kind": "l1"}) == L1(1.0)
     with pytest.raises(ValueError, match="mapping"):
         from_config(["l1"])
+    with pytest.raises(ValueError, match="weight must be a number"):
+        from_config({"kind": "l1", "weight": True})
 
 
 def test_from_config_rejects_misspelled_weight():

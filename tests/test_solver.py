@@ -17,7 +17,6 @@ from gsmf.solver import (
     _escalations,
     init_state,
     inner_iteration_budget,
-    reference_value_update,
     solve,
     spectral_norm_sq,
     step,
@@ -48,12 +47,12 @@ def test_config_rejects_bad_values():
         SolverConfig(sigma_min=10.0, sigma_max0=1.0)
     with pytest.raises(ConfigError, match="c must"):
         SolverConfig(c=0.0)
-    with pytest.raises(ConfigError, match="p_min"):
-        SolverConfig(p_min=0.0)
-    with pytest.raises(ConfigError, match="p_min <= p_const"):
-        SolverConfig(p_const=0.005)
-    with pytest.raises(ConfigError, match="window"):
-        SolverConfig(line_search="max", window=0)
+    for line_search in ("average", "max"):
+        for p_const in (0.0, 1.5):
+            with pytest.raises(ConfigError, match="p_const"):
+                SolverConfig(line_search=line_search, p_const=p_const)
+        with pytest.raises(ConfigError, match="window"):
+            SolverConfig(line_search=line_search, window=0)
     with pytest.raises(ConfigError, match="tol"):
         SolverConfig(tol=0.0)
 
@@ -95,37 +94,6 @@ def test_inner_iteration_budget_hand_value():
     assert inner_iteration_budget(1.0, 1.0, 4.0) == 2 * 2 + 2
     # degenerate mu_max below mu_min still yields a positive budget
     assert inner_iteration_budget(0.5, 1.0, 4.0) >= 4
-
-
-# --------------------------------------------------------------------------
-# reference values
-# --------------------------------------------------------------------------
-
-
-def test_reference_value_average_examples():
-    assert reference_value_update("average", 10.0, 8.0, p_next=0.2) == pytest.approx(9.6)
-    assert reference_value_update("average", 10.0, 8.0, p_next=1.0) == 8.0
-
-
-def test_reference_value_average_validates_p():
-    with pytest.raises(ValueError, match="p must"):
-        reference_value_update("average", 10.0, 8.0, p_next=1.5)
-    with pytest.raises(ValueError, match="p must"):
-        reference_value_update("average", 10.0, 8.0, p_next=0.001, p_min=0.01)
-
-
-def test_reference_value_max_window():
-    got = reference_value_update("max", 5.0, 4.0, history=(5.0, 7.0, 6.0, 4.0),
-                                 window=3)
-    assert got == 7.0
-    # a short history uses whatever is available plus the new value
-    assert reference_value_update("max", 9.0, 4.0, history=(5.0,), window=3) == 5.0
-    assert reference_value_update("max", 9.0, 4.0, history=(), window=3) == 4.0
-
-
-def test_reference_value_unknown_mode():
-    with pytest.raises(ValueError, match="unknown reference mode"):
-        reference_value_update("median", 1.0, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -335,6 +303,20 @@ def test_max_mode_reference_matches_windowed_max():
         rec = step(state, spec, params, config)
         fvals.append(rec.f_value)
         assert rec.ref_value == max(fvals[-(config.window + 1):])
+
+
+@pytest.mark.parametrize("p_const", [0.2, 1.0])
+def test_average_mode_reference_matches_the_rule(p_const):
+    spec, _ = planted(12, 3, 6)
+    params = RelaxationParams.from_alpha(0.6)
+    config = SolverConfig(line_search="average", p_const=p_const, max_iters=50,
+                          tol=1e-16)
+    state = init_state(spec, config)
+    R_prev = state.R
+    for _ in range(50):
+        rec = step(state, spec, params, config)
+        assert rec.ref_value == (1.0 - p_const) * R_prev + p_const * rec.f_value
+        R_prev = rec.ref_value
 
 
 # --------------------------------------------------------------------------
