@@ -17,6 +17,9 @@ from scipy import io as spio
 
 log = logging.getLogger("gsmf")
 
+# rows and columns per block of the in-place noise symmetrization
+_SYM_BLOCK = 128
+
 
 @dataclass
 class DatasetRecipe:
@@ -75,11 +78,30 @@ def gen_data(recipe: DatasetRecipe):
         peak = M.max()
         if peak <= 0:
             raise ValueError("cannot normalize: max entry of N^T N is not positive")
-        M = M / peak
+        M /= peak
     if recipe.noise_t > 0:
-        noise = recipe.noise_t * np.abs(rng.standard_normal(M.shape))
+        noise = rng.standard_normal(M.shape)
+        np.abs(noise, out=noise)
+        noise *= recipe.noise_t
         if recipe.symmetrize_noise:
-            noise = 0.5 * (noise + noise.T)
-        M = M + noise
+            _symmetrize(noise)
+        M += noise
     return M
 
+
+def _symmetrize(A):
+    """``A <- 0.5 (A + A^T)`` in place, one pair of square blocks at a time.
+
+    Each entry is ``(a_ij + a_ji) * 0.5``, the same float as the out-of-place
+    formula gives (addition and multiplication are commutative), and no
+    second n-by-n array is allocated.
+    """
+    n = A.shape[0]
+    for i in range(0, n, _SYM_BLOCK):
+        I = slice(i, i + _SYM_BLOCK)
+        for j in range(i, n, _SYM_BLOCK):
+            J = slice(j, j + _SYM_BLOCK)
+            S = A[I, J] + A[J, I].T
+            S *= 0.5
+            A[I, J] = S
+            A[J, I] = S.T

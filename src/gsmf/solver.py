@@ -17,6 +17,7 @@ that budget signals an implementation bug and raises.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,10 @@ class SolverConfig:
     audit: bool = False
 
     def __post_init__(self):
+        for name in ("window", "consec_required", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.line_search not in LINE_SEARCHES:
@@ -173,10 +178,10 @@ class _Kernel:
         self.X = X
         self.Y = Y
         self.Gy = Y.T @ Y
-        self._U = self._misfit = None
+        # drop the last Z before z_star forms the next: one n-by-n Z at a time
+        self._U = self._misfit = self.Z = None
         if self.cache is not None:
             # Z Y without forming Z:  Z = az * X Y^T + bz * M
-            self.Z = None
             MY = self._MV if Y is self._V else _mul_thin(self.cache.M, Y)
             self.ZY = self.az * (X @ self.Gy) + self.bz * MY
         else:

@@ -1,13 +1,14 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
 from gsmf.cli import TRACE_HEADER, main
-from gsmf.data import DatasetRecipe, gen_data, load_matrix, save_matrix
+from gsmf.data import _SYM_BLOCK, DatasetRecipe, gen_data, load_matrix, save_matrix
 from gsmf.objective import RelaxationParams
 
 
@@ -69,6 +70,66 @@ def test_gen_data_symmetrize_noise_flag():
                            symmetrize_noise=True)
     M = gen_data(recipe)
     assert np.allclose(M, M.T, atol=1e-15)
+
+
+def _gen_data_out_of_place(recipe):
+    """The recipe as one expression per step, each into a new array."""
+    rng = np.random.default_rng(recipe.seed)
+    if recipe.source == "synthetic":
+        N = rng.uniform(size=(recipe.m, recipe.n))
+    else:
+        N = load_matrix(recipe.path)
+    M = N.T @ N
+    if recipe.normalize:
+        M = M / M.max()
+    if recipe.noise_t > 0:
+        noise = recipe.noise_t * np.abs(rng.standard_normal(M.shape))
+        if recipe.symmetrize_noise:
+            noise = 0.5 * (noise + noise.T)
+        M = M + noise
+    return M
+
+
+def _assert_same_matrix(M, expected):
+    assert M.dtype == expected.dtype
+    assert M.flags.c_contiguous
+    assert np.array_equal(M, expected)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 7, _SYM_BLOCK - 1, _SYM_BLOCK, _SYM_BLOCK + 1, 2 * _SYM_BLOCK + 3])
+@pytest.mark.parametrize("symmetrize", [True, False])
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("noise_t", [0.03, 0.0])
+def test_gen_data_matches_the_out_of_place_recipe(n, symmetrize, normalize, noise_t):
+    recipe = DatasetRecipe(source="synthetic", n=n, m=4, seed=n, noise_t=noise_t,
+                           normalize=normalize, symmetrize_noise=symmetrize)
+    M = gen_data(recipe)
+    _assert_same_matrix(M, _gen_data_out_of_place(recipe))
+    if symmetrize:
+        assert np.array_equal(M, M.T)
+
+
+def test_gen_data_from_file_matches_the_out_of_place_recipe(tmp_path):
+    path = tmp_path / "N.csv"
+    save_matrix(path, np.random.default_rng(4).uniform(size=(5, _SYM_BLOCK + 9)))
+    recipe = DatasetRecipe(source="file", path=str(path), seed=4, noise_t=0.02,
+                           symmetrize_noise=True)
+    _assert_same_matrix(gen_data(recipe), _gen_data_out_of_place(recipe))
+
+
+def test_gen_data_holds_only_m_and_the_noise():
+    n = 600
+    recipe = DatasetRecipe(source="synthetic", n=n, m=10, seed=1, noise_t=0.01,
+                           symmetrize_noise=True)
+    tracemalloc.start()
+    try:
+        gen_data(recipe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (n * n * 8)
+    assert arrays < 2.5, f"gen_data peaked at {arrays:.2f} n-by-n arrays"
 
 
 def test_matrix_roundtrip_csv_and_mtx(tmp_path):

@@ -1,11 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gsmf import diagnostics
-from gsmf.objective import RelaxationParams, f_lambda, relobj, snmf_spec, z_star
-from gsmf.operators import DimensionMismatchError
+from gsmf.objective import (
+    ProblemSpec,
+    RelaxationParams,
+    f_lambda,
+    relobj,
+    snmf_spec,
+    z_star,
+)
+from gsmf.operators import DimensionMismatchError, SymmetricSampling, random_symmetric_omega
 from gsmf.regularizers import NonnegIndicator, Zero
 from gsmf.solver import (
     AlgorithmInvariantError,
@@ -55,6 +63,18 @@ def test_config_rejects_bad_values():
             SolverConfig(line_search=line_search, window=0)
     with pytest.raises(ConfigError, match="tol"):
         SolverConfig(tol=0.0)
+
+
+@pytest.mark.parametrize("field", ["window", "consec_required", "max_iters", "seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3", None])
+def test_config_rejects_a_non_integer_count(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+        SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["window", "consec_required", "max_iters", "seed"])
+def test_config_accepts_numpy_integers(field):
+    assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
 
 
 def test_proximal_scheme_needs_zero_regularizer():
@@ -368,6 +388,25 @@ def test_solve_iteration_limit_status():
     result = solve(spec, params, SolverConfig(max_iters=5, tol=1e-16))
     assert result.status == STATUS_ITER_LIMIT
     assert len(result.records) == 5
+
+
+def test_sampling_solve_keeps_one_z_at_a_time():
+    n = 600
+    rng = np.random.default_rng(0)
+    amap = SymmetricSampling(n, random_symmetric_omega(n, 0.02, rng))
+    spec = ProblemSpec(amap, rng.uniform(size=amap.q), NonnegIndicator(),
+                       NonnegIndicator(), 1.0, n, 5)
+    params = RelaxationParams.from_alpha(0.6)
+    config = SolverConfig(scheme="prox_linear", max_iters=5, tol=1e-16)
+    tracemalloc.start()
+    try:
+        result = solve(spec, params, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 5
+    arrays = peak / (n * n * 8)
+    assert arrays < 1.5, f"the solve peaked at {arrays:.2f} n-by-n arrays"
 
 
 def test_solve_time_limit_zero_stops_immediately():
