@@ -106,14 +106,19 @@ def f_lambda(spec: ProblemSpec, X, Y, misfit=None) -> float:
     """Objective: Psi(X) + Phi(Y) + 0.5 ||A(X Y^T) - b||^2 + lam/2 ||X - Y||_F^2.
 
     ``misfit`` may supply ``spec.map.misfit(X, Y, spec.b)`` when the caller
-    has it.
+    has it; otherwise the map supplies the squared misfit
+    (``LinearMap.misfit_norm_sq``), which the full map sums in row blocks
+    without an n-by-n temporary.
     """
     spec.check_shapes(X, Y)
     reg = spec.psi.eval(X) + spec.phi.eval(Y)
     if math.isinf(reg):
         return math.inf
-    resid = spec.map.misfit(X, Y, spec.b) if misfit is None else misfit
-    val = reg + 0.5 * float(resid @ resid)
+    if misfit is None:
+        fit = spec.map.misfit_norm_sq(X, Y, spec.b)
+    else:
+        fit = float(misfit @ misfit)
+    val = reg + 0.5 * fit
     if spec.lam:
         D = X - Y
         val += 0.5 * spec.lam * float(np.sum(D * D))
@@ -170,12 +175,15 @@ class GramCache:
     """Gram-product cache for the symmetric-NMF fast path.
 
     Holds the small products needed to evaluate the objective without
-    forming U V^T.
+    forming U V^T.  ``||M||_F^2`` is one dot over ``M.ravel("K")``, which
+    is a view of a C- or F-contiguous M (the solver's M is the F-order view
+    of b), so the cache copies nothing.
     """
 
     def __init__(self, M):
         self.M = np.asarray(M, dtype=float)
-        self.normM2 = float(np.sum(self.M * self.M))
+        m = self.M.ravel("K")
+        self.normM2 = float(m @ m)
         self.UtU = None
         self.VtV = None
         self.MtU = None

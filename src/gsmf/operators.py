@@ -15,6 +15,8 @@ from scipy import sparse
 
 # uniforms per rng.random call of random_symmetric_omega (512 KB of float64)
 _DRAW_BLOCK = 1 << 16
+# entries per row block of FullVectorization.misfit_norm_sq (1 MB of float64)
+_MISFIT_BLOCK = 1 << 17
 
 
 class DimensionMismatchError(ValueError):
@@ -56,6 +58,12 @@ class LinearMap:
         """The misfit ``A(X Y^T) - b``, from which the objective, ``z_star``
         and the gradients are all built."""
         return self.apply(X @ Y.T) - b
+
+    def misfit_norm_sq(self, X, Y, b):
+        """The squared misfit ``||A(X Y^T) - b||^2``, the data term of the
+        objective; this version forms the whole misfit."""
+        m = self.misfit(X, Y, b)
+        return float(m @ m)
 
     def misfit_products(self, X, Y, b, misfit=None):
         """``(G Y, G^T X)`` for the misfit ``G = A*(A(X Y^T) - b)``.
@@ -122,6 +130,22 @@ class FullVectorization(LinearMap):
         R = (Y @ X.T).reshape(-1)
         R -= self._check_vector(b)
         return R
+
+    def misfit_norm_sq(self, X, Y, b):
+        """``||Y X^T - B||_F^2`` with ``B = b.reshape(n, n)`` (C order, so B is
+        M^T), summed over row blocks of about 1 MB: O(n * block) memory, no
+        n-by-n temporary.  It adds in another order than the whole-misfit
+        dot, so the two can differ in the last bits."""
+        n = self.n
+        B = self._check_vector(b).reshape(n, n)
+        rows = min(n, max(1, _MISFIT_BLOCK // n))
+        buf = np.empty((rows, n))  # one block, reused: no allocation per block
+        total = 0.0
+        for s in range(0, n, rows):
+            R = np.matmul(Y[s:s + rows], X.T, out=buf[:min(rows, n - s)])
+            R -= B[s:s + rows]
+            total += float(np.vdot(R, R))
+        return total
 
     def misfit_products(self, X, Y, b, misfit=None):
         """Gram identities ``G Y = X (Y^T Y) - M Y`` and

@@ -99,6 +99,10 @@ class SolverConfig:
             raise ConfigError("tol must be positive")
         if self.consec_required < 1:
             raise ConfigError("consec_required must be >= 1")
+        if self.max_iters < 0:
+            raise ConfigError("max_iters must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass

@@ -324,6 +324,8 @@ def write_raw_config(tmp_path, **fields):
     ("solve", "solver.max_iters", "true",
      "`solver.max_iters`: cannot read True as int"),
     ("solve", "solver.audit", '"false"', "`solver.audit`: cannot read 'false' as bool"),
+    ("solve", "solver.max_iters", "-3", "max_iters must be >= 0"),
+    ("solve", "solver.seed", "-1", "seed must be >= 0"),
     ("solve", "output.dir", "5", "`output.dir`: cannot read 5 as str"),
     ("solve", "output.dri", "o", "unknown output field(s): ['dri']"),
     ("solve", "problem.psi", "{kind: l1, weight: abc}",

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gsmf import operators
 from gsmf.objective import (
     GramCache,
     ProblemSpec,
@@ -109,6 +110,45 @@ def test_f_lambda_matches_naive_oracle():
         Y = rng.uniform(size=(6, 3))
         f = f_lambda(spec, X, Y)
         assert f == pytest.approx(naive_objective(spec, X, Y), rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+@pytest.mark.parametrize("n, rows", [(1, 8), (7, 8), (8, 8), (9, 8), (19, 8), (400, None)])
+def test_full_map_blocked_misfit_matches_dense_oracle(monkeypatch, n, rows, lam):
+    # blocks of 8 rows put n below, at and just past one block, and past two;
+    # rows=None keeps the module's block size, which must split the n rows
+    if rows is None:
+        assert operators._MISFIT_BLOCK // n < n, "the block must split n rows"
+    else:
+        monkeypatch.setattr(operators, "_MISFIT_BLOCK", rows * n)
+    rng = np.random.default_rng(n)
+    # M is not symmetric: a transposed block of b.reshape(n, n) would show
+    M = rng.standard_normal((n, n))
+    r = min(3, n)
+    spec = snmf_spec(M, r, lam)
+    X = rng.uniform(size=(n, r))
+    Y = rng.uniform(size=(n, r))
+    want = (0.5 * float(np.sum((X @ Y.T - M) ** 2))
+            + 0.5 * lam * float(np.sum((X - Y) ** 2)))
+    assert f_lambda(spec, X, Y) == pytest.approx(want, rel=1e-12)
+    assert f_lambda(spec, -X, Y) == math.inf
+
+
+def test_full_map_objective_holds_no_n_by_n_array():
+    # beyond the target b, f_lambda and relobj hold one row block of the misfit
+    n = 600
+    rng = np.random.default_rng(20)
+    spec = snmf_spec(rng.uniform(size=(n, n)), 5, 1.0)
+    X, Y = rng.uniform(size=(n, 5)), rng.uniform(size=(n, 5))
+    for objective in (f_lambda, relobj):
+        tracemalloc.start()
+        try:
+            objective(spec, X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = peak / (n * n * 8)
+        assert arrays < 0.5, f"{objective.__name__} peaked at {arrays:.2f} n-by-n arrays"
 
 
 def test_f_lambda_infinite_when_infeasible():

@@ -63,6 +63,11 @@ def test_config_rejects_bad_values():
             SolverConfig(line_search=line_search, window=0)
     with pytest.raises(ConfigError, match="tol"):
         SolverConfig(tol=0.0)
+    with pytest.raises(ConfigError, match="^max_iters must be >= 0$"):
+        SolverConfig(max_iters=-3)
+    with pytest.raises(ConfigError, match="^seed must be >= 0$"):
+        SolverConfig(seed=-1)
+    assert SolverConfig(max_iters=0).max_iters == 0
 
 
 @pytest.mark.parametrize("field", ["window", "consec_required", "max_iters", "seed"])
@@ -407,6 +412,51 @@ def test_sampling_solve_keeps_one_z_at_a_time():
     assert len(result.records) == 5
     arrays = peak / (n * n * 8)
     assert arrays < 1.5, f"the solve peaked at {arrays:.2f} n-by-n arrays"
+
+
+@pytest.mark.parametrize("scheme", ["hierarchical", "prox_linear"])
+def test_full_map_solve_holds_no_n_by_n_array_beyond_the_target(scheme):
+    n = 600
+    spec, _ = planted(n, 5, 0)
+    params = RelaxationParams.from_alpha(0.6)
+    config = SolverConfig(scheme=scheme, max_iters=5, tol=1e-16)
+    tracemalloc.start()
+    try:
+        result = solve(spec, params, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 5
+    arrays = peak / (n * n * 8)
+    assert arrays < 0.5, f"the solve peaked at {arrays:.2f} n-by-n arrays"
+
+
+@pytest.mark.parametrize("zero_column_in_x0", [False, True])
+@pytest.mark.parametrize("scheme", ["hierarchical", "prox_linear"])
+@pytest.mark.parametrize("kind", ["full", "sampling"])
+def test_zero_y0_starts_at_a_mu_cap_below_mu_min(kind, scheme, zero_column_in_x0):
+    # with Y0 = 0, mu_max = c = 1e-4 lies below mu_min = 1
+    n, r = 12, 3
+    rng = np.random.default_rng(31)
+    B = rng.uniform(size=(n, r))
+    if kind == "full":
+        spec = snmf_spec(B @ B.T, r, 1.0)
+    else:
+        amap = SymmetricSampling(n, random_symmetric_omega(n, 0.5, rng))
+        spec = ProblemSpec(amap, amap.apply(B @ B.T), NonnegIndicator(),
+                           NonnegIndicator(), 1.0, n, r)
+    X0 = rng.uniform(size=(n, r))
+    if zero_column_in_x0:
+        X0[:, 1] = 0.0
+    params = RelaxationParams.from_alpha(0.6)
+    config = SolverConfig(scheme=scheme, audit=True, max_iters=30, tol=1e-16)
+    result = solve(spec, params, config, X0=X0, Y0=np.zeros((n, r)))
+    first = result.records[0]
+    assert first.mu_max == config.c < config.mu_min
+    assert first.mu_bar == first.mu_max
+    assert first.inner_iterations <= budget_bound(first, config)
+    assert len(result.records) == 30
+    assert diagnostics.descent_audit(result, spec, params, config) == 0
 
 
 def test_solve_time_limit_zero_stops_immediately():
