@@ -17,8 +17,9 @@ from scipy import io as spio
 
 log = logging.getLogger("gsmf")
 
-# rows and columns per block of the in-place noise symmetrization
-_SYM_BLOCK = 128
+# entries per block of rows of the noise that gen_data draws and adds
+# (128 KB of float64)
+_NOISE_BLOCK = 1 << 14
 
 
 @dataclass
@@ -65,7 +66,12 @@ def save_matrix(path, M):
 
 
 def gen_data(recipe: DatasetRecipe):
-    """Build the n-by-n target matrix M from the recipe; deterministic per seed."""
+    """Build the n-by-n target matrix M from the recipe; deterministic per seed.
+
+    M is the only n-by-n array: it comes back in Fortran order, so the full
+    map's ``b = vec_F(M)`` is a view of it, and the noise is drawn and added
+    one block of rows at a time.
+    """
     rng = np.random.default_rng(recipe.seed)
     if recipe.source == "synthetic":
         N = rng.uniform(size=(recipe.m, recipe.n))
@@ -73,35 +79,51 @@ def gen_data(recipe: DatasetRecipe):
         N = load_matrix(recipe.path)
         if np.any(N < 0):
             log.warning("factor matrix from %s has negative entries", recipe.path)
-    M = N.T @ N
+    # numpy forms N^T N with syrk, so it is exactly symmetric and its
+    # transpose, an F-order array, is the same matrix
+    M = (N.T @ N).T
     if recipe.normalize:
         peak = M.max()
         if peak <= 0:
             raise ValueError("cannot normalize: max entry of N^T N is not positive")
         M /= peak
     if recipe.noise_t > 0:
-        noise = rng.standard_normal(M.shape)
-        np.abs(noise, out=noise)
-        noise *= recipe.noise_t
-        if recipe.symmetrize_noise:
-            _symmetrize(noise)
-        M += noise
+        _add_noise(M, rng, recipe.noise_t, recipe.symmetrize_noise)
     return M
 
 
-def _symmetrize(A):
-    """``A <- 0.5 (A + A^T)`` in place, one pair of square blocks at a time.
+def _add_noise(M, rng, t, symmetrize):
+    """``M += t |E|`` for E i.i.d. standard normal, or ``M += 0.5 (E' + E'^T)``
+    with ``E' = t |E|`` when ``symmetrize``, one block of rows at a time.
 
-    Each entry is ``(a_ij + a_ji) * 0.5``, the same float as the out-of-place
-    formula gives (addition and multiplication are commutative), and no
-    second n-by-n array is allocated.
+    E is drawn block by block into one buffer: the same stream as one n-by-n
+    draw.  To symmetrize, M must be exactly symmetric: the noise of the
+    columns right of a block waits in M's lower block, whose value the upper
+    block duplicates, until the rows it mirrors are drawn.  Each entry is
+    ``m_ij + (e_ij + e_ji) * 0.5``, the same float as the out-of-place
+    formula gives (addition and multiplication are commutative).
     """
-    n = A.shape[0]
-    for i in range(0, n, _SYM_BLOCK):
-        I = slice(i, i + _SYM_BLOCK)
-        for j in range(i, n, _SYM_BLOCK):
-            J = slice(j, j + _SYM_BLOCK)
-            S = A[I, J] + A[J, I].T
-            S *= 0.5
-            A[I, J] = S
-            A[J, I] = S.T
+    n = M.shape[0]
+    rows = max(1, _NOISE_BLOCK // n)
+    buf = np.empty((min(rows, n), n))
+    for i in range(0, n, rows):
+        e = min(i + rows, n)
+        E = rng.standard_normal(out=buf[:e - i])
+        np.abs(E, out=E)
+        E *= t
+        if not symmetrize:
+            M[i:e] += E
+            continue
+        # columns left of the block: M[i:e, :i] holds the noise e_ji stashed
+        # by the earlier rows j, and M[:i, i:e] the value m_ji = m_ij
+        L = E[:, :i]
+        L += M[i:e, :i]
+        L *= 0.5
+        L += M[:i, i:e].T
+        M[i:e, :i] = L
+        M[:i, i:e] = L.T
+        D = E[:, i:e] + E[:, i:e].T
+        D *= 0.5
+        M[i:e, i:e] += D
+        # columns right of the block: stash their noise for their rows
+        M[e:, i:e] = E[:, e:].T

@@ -45,7 +45,7 @@ def gradients(spec: ProblemSpec, X, Y, misfit=None):
     sparse products on the sampling map, never an n-by-n matrix.
     ``misfit`` may supply ``spec.map.misfit(X, Y, spec.b)``.
     """
-    spec.check_shapes(X, Y)
+    X, Y = spec.check_shapes(X, Y)
     GY, GtX = spec.map.misfit_products(X, Y, spec.b, misfit=misfit)
     D = spec.lam * (X - Y)
     return GY + D, GtX - D
@@ -107,7 +107,7 @@ def exact_penalty_threshold(spec: ProblemSpec, X, Y):
     Ab = spec.map.adjoint(spec.b)
     if float(np.max(np.abs(Ab - Ab.T))) > 1e-10 * max(1.0, float(np.max(np.abs(Ab)))):
         raise ValueError("A*(b) must be symmetric for the exact-penalty threshold")
-    spec.check_shapes(X, Y)
+    X, Y = spec.check_shapes(X, Y)
     op_norm = _matrix_spectral_norm(spec.map.gram_apply(X @ Y.T))
     eig_min = float(np.linalg.eigvalsh(0.5 * (Ab + Ab.T))[0])
     threshold = 0.5 * (op_norm + spec.psi.kappa - eig_min)

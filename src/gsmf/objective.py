@@ -56,11 +56,16 @@ class ProblemSpec:
         return float(np.linalg.norm(self.b))
 
     def check_shapes(self, X, Y):
+        """The factors as float arrays, after checking that both are n-by-r.
+
+        The objective and diagnostics functions read the factors through
+        this, so integer factors give the values of float ones."""
         for name, M in (("X", X), ("Y", Y)):
             if np.shape(M) != (self.n, self.r):
                 raise ValueError(
                     f"{name} has shape {np.shape(M)}, expected ({self.n}, {self.r})"
                 )
+        return np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
 
 
 def _beta(alpha):
@@ -110,7 +115,7 @@ def f_lambda(spec: ProblemSpec, X, Y, misfit=None) -> float:
     (``LinearMap.misfit_norm_sq``), which the full map sums in row blocks
     without an n-by-n temporary.
     """
-    spec.check_shapes(X, Y)
+    X, Y = spec.check_shapes(X, Y)
     reg = spec.psi.eval(X) + spec.phi.eval(Y)
     if math.isinf(reg):
         return math.inf
@@ -127,7 +132,7 @@ def f_lambda(spec: ProblemSpec, X, Y, misfit=None) -> float:
 
 def theta(spec: ProblemSpec, params: RelaxationParams, X, Y, Z) -> float:
     """Potential: the objective with the bilinear term split through Z."""
-    spec.check_shapes(X, Y)
+    X, Y = spec.check_shapes(X, Y)
     Z = np.asarray(Z)
     if Z.shape != (spec.n, spec.n):
         raise ValueError(f"Z has shape {Z.shape}, expected ({spec.n}, {spec.n})")
@@ -148,7 +153,7 @@ def z_star(spec: ProblemSpec, params: RelaxationParams, X, Y):
     """Stationary auxiliary block:
     ``X Y^T - beta/(alpha+beta) A*(A(X Y^T) - b)``.
     """
-    spec.check_shapes(X, Y)
+    X, Y = spec.check_shapes(X, Y)
     a, b = params.alpha, params.beta
     if a + b == 0:
         raise ZeroDivisionError("alpha + beta must be nonzero")
@@ -226,7 +231,12 @@ def snmf_objective_cached(cache: GramCache, spec: ProblemSpec, U, V,
 
 
 def snmf_spec(M, r, lam, psi=None, phi=None) -> ProblemSpec:
-    """Convenience constructor: full-vectorization map with b = vec(M)."""
+    """Convenience constructor: full-vectorization map with b = vec(M).
+
+    b is a view of an F-contiguous M (as ``data.gen_data`` returns it), not
+    a copy; the spec keeps any b without a copy, so M must not change while
+    the spec is in use.
+    """
     from .regularizers import NonnegIndicator
 
     M = np.asarray(M, dtype=float)

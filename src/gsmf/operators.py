@@ -33,7 +33,9 @@ class LinearMap:
     """Base class for linear maps R^{n x n} -> R^q with A A* = I_q.
 
     Subclasses implement ``apply`` and ``adjoint``; everything else is
-    derived.  Instances are immutable after construction.
+    derived.  Instances are immutable after construction.  The misfit
+    methods take float factors X, Y: the functions of ``objective`` and
+    ``diagnostics`` cast them once, in ``ProblemSpec.check_shapes``.
     """
 
     n: int
@@ -117,8 +119,10 @@ class FullVectorization(LinearMap):
         self.q = self.n * self.n
 
     def apply(self, U):
+        """``vec_F(U)``: a view of an F-contiguous U (so the b of an F-order
+        target M shares M's memory), a copy of any other layout."""
         U = self._check_matrix(U)
-        return U.flatten(order="F")
+        return U.ravel(order="F")
 
     def adjoint(self, v):
         v = self._check_vector(v)
@@ -165,8 +169,9 @@ class SymmetricSampling(LinearMap):
     lexicographically with the column index taking priority over the row
     index.  A set violating any of these is rejected rather than repaired.
     The map keeps Omega as index arrays: the 0-based rows and columns for the
-    factor gathers of ``misfit``, and the C-order flat index ``i n + j`` for
-    ``apply``, ``adjoint`` and ``subtract_adjoint``.
+    factor gathers of ``misfit``, the C-order flat index ``i n + j`` for
+    ``apply``, ``adjoint`` and ``subtract_adjoint``, and the F-order flat
+    index ``j n + i`` for ``apply`` on an F-contiguous matrix.
     """
 
     def __init__(self, n, omega):
@@ -210,13 +215,20 @@ class SymmetricSampling(LinearMap):
             i, j = (int(k) for k in omega[lone[0]])
             raise ValueError(f"Omega is not symmetric: ({i},{j}) without ({j},{i})")
         self.q = key.size
-        self._rows, self._cols, self._flat = rows, cols, flat
+        self._rows, self._cols, self._flat, self._key = rows, cols, flat, key
         # Omega is sorted column first, so it is already in CSC order
         self._colptr = np.searchsorted(cols, np.arange(n + 1))
 
     def apply(self, U):
+        """The entries of U on Omega, read in place from a C- or F-contiguous
+        U (``take`` would copy an F-order U to C order first) and gathered
+        by (row, col) from any other layout: no n-by-n temporary."""
         U = self._check_matrix(U)
-        return U.take(self._flat)
+        if U.flags.c_contiguous:
+            return U.take(self._flat)
+        if U.flags.f_contiguous:
+            return U.ravel(order="F").take(self._key)
+        return U[self._rows, self._cols]
 
     def adjoint(self, v):
         v = self._check_vector(v)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import yaml
 
-from gsmf.cli import TRACE_HEADER, main
-from gsmf.data import _SYM_BLOCK, DatasetRecipe, gen_data, load_matrix, save_matrix
-from gsmf.objective import RelaxationParams
+from gsmf.cli import TRACE_HEADER, build_recipe, build_spec, load_config, main
+from gsmf.data import DatasetRecipe, gen_data, load_matrix, save_matrix
+from gsmf.objective import RelaxationParams, snmf_spec
+from gsmf.operators import random_symmetric_omega
 
 
 def base_config(**overrides):
@@ -92,12 +93,13 @@ def _gen_data_out_of_place(recipe):
 
 def _assert_same_matrix(M, expected):
     assert M.dtype == expected.dtype
-    assert M.flags.c_contiguous
+    assert M.flags.f_contiguous  # so the full map's b is a view of M
     assert np.array_equal(M, expected)
 
 
-@pytest.mark.parametrize(
-    "n", [1, 7, _SYM_BLOCK - 1, _SYM_BLOCK, _SYM_BLOCK + 1, 2 * _SYM_BLOCK + 3])
+# the noise comes in blocks of 2**14 // n rows: one block up to n = 128, two
+# at 129, five at 259 (the last of 7 rows) and sixteen whole ones at 512
+@pytest.mark.parametrize("n", [1, 7, 127, 128, 129, 259, 512])
 @pytest.mark.parametrize("symmetrize", [True, False])
 @pytest.mark.parametrize("normalize", [True, False])
 @pytest.mark.parametrize("noise_t", [0.03, 0.0])
@@ -112,24 +114,63 @@ def test_gen_data_matches_the_out_of_place_recipe(n, symmetrize, normalize, nois
 
 def test_gen_data_from_file_matches_the_out_of_place_recipe(tmp_path):
     path = tmp_path / "N.csv"
-    save_matrix(path, np.random.default_rng(4).uniform(size=(5, _SYM_BLOCK + 9)))
+    save_matrix(path, np.random.default_rng(4).uniform(size=(5, 137)))
     recipe = DatasetRecipe(source="file", path=str(path), seed=4, noise_t=0.02,
                            symmetrize_noise=True)
     _assert_same_matrix(gen_data(recipe), _gen_data_out_of_place(recipe))
 
 
-def test_gen_data_holds_only_m_and_the_noise():
-    n = 600
-    recipe = DatasetRecipe(source="synthetic", n=n, m=10, seed=1, noise_t=0.01,
-                           symmetrize_noise=True)
+def _peak_arrays(fn, n):
+    """The peak of the memory ``fn()`` allocates, in n-by-n float64 arrays."""
     tracemalloc.start()
     try:
-        gen_data(recipe)
+        fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    arrays = peak / (n * n * 8)
-    assert arrays < 2.5, f"gen_data peaked at {arrays:.2f} n-by-n arrays"
+    return peak / (n * n * 8)
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_gen_data_holds_only_m(symmetrize):
+    n = 600
+    recipe = DatasetRecipe(source="synthetic", n=n, m=10, seed=1, noise_t=0.01,
+                           symmetrize_noise=symmetrize)
+    arrays = _peak_arrays(lambda: gen_data(recipe), n)
+    assert arrays < 1.2, f"gen_data peaked at {arrays:.2f} n-by-n arrays"
+
+
+def _spec_config(tmp_path, n, kind):
+    """A loaded config for an n-by-n problem on the full or the sampling map."""
+    cfg = base_config(**{"dataset.n": n, "dataset.m": 10, "dataset.seed": 1,
+                         "dataset.noise_t": 0.01,
+                         "dataset.symmetrize_noise": True})
+    if kind == "sampling":
+        omega = random_symmetric_omega(n, 0.01, np.random.default_rng(1))
+        omega_path = tmp_path / "omega.csv"
+        np.savetxt(omega_path, omega, fmt="%d", delimiter=",")
+        cfg["problem"]["map"] = {"kind": "sampling", "omega_csv": str(omega_path)}
+    return load_config(write_config(tmp_path, cfg))
+
+
+@pytest.mark.parametrize("kind", ["snmf_spec", "full", "sampling"])
+def test_set_up_holds_only_m(tmp_path, kind):
+    n = 600
+    cfg = _spec_config(tmp_path, n, "sampling" if kind == "sampling" else "full")
+
+    def set_up():
+        M = gen_data(build_recipe(cfg))
+        return snmf_spec(M, 3, 1.0) if kind == "snmf_spec" else build_spec(cfg, M)
+
+    arrays = _peak_arrays(set_up, n)
+    assert arrays < 1.2, f"set-up peaked at {arrays:.2f} n-by-n arrays"
+
+
+def test_full_map_b_is_a_view_of_m(tmp_path):
+    cfg = _spec_config(tmp_path, 40, "full")
+    M = gen_data(build_recipe(cfg))
+    assert np.shares_memory(snmf_spec(M, 3, 1.0).b, M)
+    assert np.shares_memory(build_spec(cfg, M).b, M)
 
 
 def test_matrix_roundtrip_csv_and_mtx(tmp_path):

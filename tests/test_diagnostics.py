@@ -11,13 +11,22 @@ from gsmf.diagnostics import (
     gradients,
     relaxation_consistency,
     report,
+    scheme_inclusion_residual,
     stationarity_residual,
     symmetry_gap,
 )
-from gsmf.objective import ProblemSpec, RelaxationParams, f_lambda, snmf_spec
+from gsmf.objective import (
+    ProblemSpec,
+    RelaxationParams,
+    f_lambda,
+    relobj,
+    snmf_spec,
+    theta,
+    z_star,
+)
 from gsmf.operators import FullVectorization, SymmetricSampling, random_symmetric_omega
 from gsmf.regularizers import L1, NonnegIndicator, Zero
-from gsmf.solver import SolverConfig, init_state, solve, step
+from gsmf.solver import SolveResult, SolverConfig, init_state, solve, step, update_u, update_v
 
 
 def planted(n, r, seed, lam=1.0):
@@ -267,3 +276,76 @@ def test_report_logs_why_penalty_threshold_is_missing(caplog):
     assert len(warnings) == 1
     assert warnings[0].levelno == logging.WARNING
     assert "A*(b) must be symmetric" in warnings[0].getMessage()
+
+
+# --------------------------------------------------------------------------
+# integer factors
+# --------------------------------------------------------------------------
+
+_PARAMS = RelaxationParams.from_alpha(0.6)
+
+
+def _report(spec, X, Y):
+    result = SolveResult(X=X, Y=Y, records=[], status="IterLimit", x0=X, y0=Y)
+    return report(spec, _PARAMS, result)
+
+
+def _blocks(spec, X, Y):
+    Z = z_star(spec, _PARAMS, X.astype(float), Y.astype(float))
+    U = update_u("prox_linear", spec, _PARAMS, X, Y, Z, 2.0)
+    return U, update_v("prox_linear", spec, _PARAMS, U, Y, Z, 2.0)
+
+
+# every public function that takes the factors X, Y, as f(spec, X, Y)
+FACTOR_ENTRY_POINTS = {
+    "check_shapes": lambda spec, X, Y: spec.check_shapes(X, Y),
+    "f_lambda": f_lambda,
+    "theta": lambda spec, X, Y: theta(spec, _PARAMS, X, Y, np.ones((spec.n, spec.n))),
+    "z_star": lambda spec, X, Y: z_star(spec, _PARAMS, X, Y),
+    "relobj": relobj,
+    "gradients": gradients,
+    "stationarity_residual": stationarity_residual,
+    "symmetry_gap": lambda spec, X, Y: symmetry_gap(X, Y),
+    "exact_penalty_threshold": exact_penalty_threshold,
+    "relaxation_consistency": lambda spec, X, Y: relaxation_consistency(
+        spec, _PARAMS, X, Y),
+    "scheme_inclusion_residual": lambda spec, X, Y: scheme_inclusion_residual(
+        spec, _PARAMS, "prox_linear", X, Y, np.ones((spec.n, spec.n)), X, Y, 2.0, 2.0),
+    "report": _report,
+    "update_u_update_v": _blocks,
+    "init_state": lambda spec, X, Y: init_state(spec, SolverConfig(), X, Y).f_value,
+    "solve": lambda spec, X, Y: solve(spec, _PARAMS, SolverConfig(max_iters=3), X, Y).X,
+}
+
+
+def _leaves(value):
+    """The numbers in a result, as a flat list of float arrays."""
+    if isinstance(value, (tuple, list)):
+        return [leaf for v in value for leaf in _leaves(v)]
+    if hasattr(value, "to_dict"):
+        return _leaves(list(value.to_dict().values()))
+    return [np.asarray(value, dtype=float)]
+
+
+@pytest.mark.parametrize("kind", ["full", "sampling"])
+@pytest.mark.parametrize("name", sorted(FACTOR_ENTRY_POINTS))
+def test_integer_factors_give_the_value_of_float_factors(kind, name):
+    n, r = 8, 2
+    rng = np.random.default_rng(30)
+    B = rng.uniform(size=(n, r))
+    M = B @ B.T
+    if kind == "full":
+        spec = snmf_spec(M, r, 1.0)
+    else:
+        amap = SymmetricSampling(n, random_symmetric_omega(n, 0.5, rng))
+        spec = ProblemSpec(amap, amap.apply(M), NonnegIndicator(), NonnegIndicator(),
+                           1.0, n=n, r=r)
+    X = rng.integers(0, 3, size=(n, r))
+    Y = rng.integers(0, 3, size=(n, r))
+    fn = FACTOR_ENTRY_POINTS[name]
+    want = _leaves(fn(spec, X.astype(float), Y.astype(float)))
+    got = _leaves(fn(spec, X, Y))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64
+        assert np.array_equal(g, w, equal_nan=True)
