@@ -169,9 +169,8 @@ class SymmetricSampling(LinearMap):
     lexicographically with the column index taking priority over the row
     index.  A set violating any of these is rejected rather than repaired.
     The map keeps Omega as index arrays: the 0-based rows and columns for the
-    factor gathers of ``misfit``, the C-order flat index ``i n + j`` for
-    ``apply``, ``adjoint`` and ``subtract_adjoint``, and the F-order flat
-    index ``j n + i`` for ``apply`` on an F-contiguous matrix.
+    factor gathers of ``misfit``, and the C-order flat index ``i n + j`` for
+    ``apply``, ``adjoint`` and ``subtract_adjoint``.
     """
 
     def __init__(self, n, omega):
@@ -215,19 +214,17 @@ class SymmetricSampling(LinearMap):
             i, j = (int(k) for k in omega[lone[0]])
             raise ValueError(f"Omega is not symmetric: ({i},{j}) without ({j},{i})")
         self.q = key.size
-        self._rows, self._cols, self._flat, self._key = rows, cols, flat, key
+        self._rows, self._cols, self._flat = rows, cols, flat
         # Omega is sorted column first, so it is already in CSC order
         self._colptr = np.searchsorted(cols, np.arange(n + 1))
 
     def apply(self, U):
-        """The entries of U on Omega, read in place from a C- or F-contiguous
-        U (``take`` would copy an F-order U to C order first) and gathered
-        by (row, col) from any other layout: no n-by-n temporary."""
+        """The entries of U on Omega: ``take`` on the flat index for a
+        C-contiguous U, a (row, col) gather for any other layout (``take``
+        would copy it to C order first), so no n-by-n temporary."""
         U = self._check_matrix(U)
         if U.flags.c_contiguous:
             return U.take(self._flat)
-        if U.flags.f_contiguous:
-            return U.ravel(order="F").take(self._key)
         return U[self._rows, self._cols]
 
     def adjoint(self, v):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -22,40 +20,6 @@ def test_full_vectorization_is_column_major():
     amap = FullVectorization(2)
     U = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert amap.apply(U).tolist() == [1.0, 3.0, 2.0, 4.0]
-
-
-def _layouts(n, rng):
-    """The same n-by-n values C-contiguous, F-contiguous and strided."""
-    U = rng.standard_normal((n, n))
-    strided = np.zeros((2 * n, 2 * n))[::2, ::2]
-    strided[...] = U
-    return {"C": U, "F": np.asfortranarray(U), "strided": strided}
-
-
-@pytest.mark.parametrize("layout", ["C", "F", "strided"])
-def test_full_apply_views_an_f_contiguous_matrix(layout):
-    n = 5
-    U = _layouts(n, np.random.default_rng(1))[layout]
-    b = FullVectorization(n).apply(U)
-    assert np.array_equal(b, U.flatten(order="F"))
-    assert np.shares_memory(b, U) == (layout == "F")
-
-
-@pytest.mark.parametrize("layout", ["C", "F", "strided"])
-def test_sampling_apply_reads_every_layout_in_place(layout):
-    n = 1000
-    rng = np.random.default_rng(2)
-    omega = random_symmetric_omega(n, 0.01, rng)
-    amap = SymmetricSampling(n, omega)
-    U = _layouts(n, rng)[layout]
-    tracemalloc.start()
-    try:
-        b = amap.apply(U)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(b, U[omega[:, 0] - 1, omega[:, 1] - 1])
-    assert peak < 0.05 * 8 * n * n, f"apply peaked at {peak} bytes"
 
 
 def test_sampling_apply_follows_omega_order():

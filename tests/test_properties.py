@@ -1,6 +1,9 @@
 """Property tests: each map's misfit, misfit products and in-place adjoint
 correction against the dense oracle; the adjoint identity, the partial
-isometry, and the relaxation identity Theta(X, Y, z*(X, Y)) = F(X, Y)."""
+isometry, the relaxation identity Theta(X, Y, z*(X, Y)) = F(X, Y), and each
+map's apply on C-, F- and non-contiguous matrices."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,8 +101,8 @@ def _layout(Z, layout):
 @given(n=sizes, seed=seeds, density=st.floats(min_value=0.05, max_value=1.0),
        layout=st.sampled_from(["C", "F", "strided"]))
 def test_sampling_flat_index_matches_fancy_index(n, seed, density, layout):
-    # apply and subtract_adjoint gather and scatter through one C-order flat
-    # index; they must equal the 2-D fancy index on Omega for any layout
+    # apply and subtract_adjoint must equal the 2-D fancy index on Omega for
+    # any layout
     rng = np.random.default_rng(seed)
     omega = random_symmetric_omega(n, density, rng)
     rows = np.array([i - 1 for i, _ in omega])
@@ -116,6 +119,30 @@ def test_sampling_flat_index_matches_fancy_index(n, seed, density, layout):
     if base is not None:  # the view's writes land in its base, and only there
         base[1::2, ::3] = want
         assert np.array_equal(Z.base, base)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_sampling_apply_allocates_no_n_by_n_array(layout):
+    n = 1000
+    rng = np.random.default_rng(2)
+    amap = SymmetricSampling(n, random_symmetric_omega(n, 0.01, rng))
+    Z = _layout(rng.standard_normal((n, n)), layout)
+    tracemalloc.start()
+    try:
+        amap.apply(Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 8 * n * n, f"apply peaked at {peak} bytes"
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_full_apply_views_an_f_contiguous_matrix(layout):
+    n = 5
+    Z = _layout(np.random.default_rng(1).standard_normal((n, n)), layout)
+    b = FullVectorization(n).apply(Z)
+    assert np.array_equal(b, Z.flatten(order="F"))
+    assert np.shares_memory(b, Z) == (layout == "F")
 
 
 def _map(kind, n, density, rng):
