@@ -10,6 +10,8 @@ picked by extension.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +40,14 @@ class DatasetRecipe:
     def __post_init__(self):
         if self.source not in ("synthetic", "file"):
             raise ValueError(f"unknown dataset source {self.source!r}")
-        if self.noise_t < 0:
-            raise ValueError("noise_t must be >= 0")
+        for name in ("n", "m", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.noise_t) and self.noise_t >= 0):
+            raise ValueError(f"noise_t must be finite and >= 0, got {self.noise_t}")
         if self.source == "synthetic" and (self.n < 1 or self.m < 1):
             raise ValueError("synthetic datasets need n >= 1 and m >= 1")
         if self.source == "file" and not self.path:

@@ -11,6 +11,7 @@ numerically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import operators
 from .operators import LinearMap
-from .regularizers import Regularizer
+from .regularizers import NonnegIndicator, Regularizer
 
 
 @dataclass(frozen=True)
@@ -35,12 +36,16 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        for name in ("n", "r"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.r < 1:
             raise ValueError(f"rank r={self.r} must be >= 1")
         if self.r > self.n:
             raise ValueError(f"rank r={self.r} exceeds n={self.n}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.map.n != self.n:
             raise ValueError(f"map is for n={self.map.n}, spec has n={self.n}")
         if self.b.shape != (self.map.q,):
@@ -107,6 +112,20 @@ class RelaxationParams:
         return cls(alpha=alpha, gamma=float(gamma))
 
 
+def _penalized(spec: ProblemSpec, X, Y, data) -> float:
+    """``Psi(X) + Phi(Y) + data() + lam/2 ||X - Y||_F^2``, calling ``data``
+    only when ``Psi(X) + Phi(Y)`` is finite.  The symmetry term is summed
+    from ``X - Y`` itself, so it stays accurate as X -> Y."""
+    reg = spec.psi.eval(X) + spec.phi.eval(Y)
+    if math.isinf(reg):
+        return math.inf
+    val = reg + data()
+    if spec.lam:
+        D = X - Y
+        val += 0.5 * spec.lam * float(np.sum(D * D))
+    return val
+
+
 def f_lambda(spec: ProblemSpec, X, Y, misfit=None) -> float:
     """Objective: Psi(X) + Phi(Y) + 0.5 ||A(X Y^T) - b||^2 + lam/2 ||X - Y||_F^2.
 
@@ -116,18 +135,9 @@ def f_lambda(spec: ProblemSpec, X, Y, misfit=None) -> float:
     without an n-by-n temporary.
     """
     X, Y = spec.check_shapes(X, Y)
-    reg = spec.psi.eval(X) + spec.phi.eval(Y)
-    if math.isinf(reg):
-        return math.inf
-    if misfit is None:
-        fit = spec.map.misfit_norm_sq(X, Y, spec.b)
-    else:
-        fit = float(misfit @ misfit)
-    val = reg + 0.5 * fit
-    if spec.lam:
-        D = X - Y
-        val += 0.5 * spec.lam * float(np.sum(D * D))
-    return val
+    return _penalized(spec, X, Y, lambda: 0.5 * (
+        spec.map.misfit_norm_sq(X, Y, spec.b) if misfit is None
+        else float(misfit @ misfit)))
 
 
 def theta(spec: ProblemSpec, params: RelaxationParams, X, Y, Z) -> float:
@@ -136,17 +146,14 @@ def theta(spec: ProblemSpec, params: RelaxationParams, X, Y, Z) -> float:
     Z = np.asarray(Z)
     if Z.shape != (spec.n, spec.n):
         raise ValueError(f"Z has shape {Z.shape}, expected ({spec.n}, {spec.n})")
-    reg = spec.psi.eval(X) + spec.phi.eval(Y)
-    if math.isinf(reg):
-        return math.inf
-    S = X @ Y.T - Z
-    resid = spec.map.apply(Z) - spec.b
-    val = reg + 0.5 * params.alpha * float(np.sum(S * S))
-    val += 0.5 * params.beta * float(resid @ resid)
-    if spec.lam:
-        D = X - Y
-        val += 0.5 * spec.lam * float(np.sum(D * D))
-    return val
+
+    def data():
+        S = X @ Y.T - Z
+        resid = spec.map.apply(Z) - spec.b
+        return 0.5 * (params.alpha * float(np.sum(S * S))
+                      + params.beta * float(resid @ resid))
+
+    return _penalized(spec, X, Y, data)
 
 
 def z_star(spec: ProblemSpec, params: RelaxationParams, X, Y):
@@ -189,45 +196,30 @@ class GramCache:
         self.M = np.asarray(M, dtype=float)
         m = self.M.ravel("K")
         self.normM2 = float(m @ m)
-        self.UtU = None
-        self.VtV = None
-        self.MtU = None
-        self.UtV = None
+        # the products and trace terms of the last refresh
+        self.UtU = self.VtV = self.MtU = self.tr_gram = self.tr_cross = None
 
-    def refresh(self, U, V, MtU):
-        """Store the products for the pair (U, V).
+    def refresh(self, V, MtU, UtU):
+        """Store the products and the two trace terms for the pair (U, V).
 
-        ``MtU`` is ``M^T U``, which the caller has already formed.
+        ``MtU`` is ``M^T U`` and ``UtU`` is ``U^T U``, which the caller has
+        already formed.  ``tr_gram = tr((U^T U)(V^T V))`` and
+        ``tr_cross = tr(U^T M V)``.
         """
-        self.UtU = U.T @ U
+        self.UtU = UtU
         self.VtV = V.T @ V
         self.MtU = MtU
-        self.UtV = U.T @ V
+        self.tr_gram = float(np.sum(UtU * self.VtV))
+        self.tr_cross = float(np.sum(MtU * V))
 
 
-def snmf_objective_cached(cache: GramCache, spec: ProblemSpec, U, V,
-                          lam) -> float:
+def snmf_objective_cached(cache: GramCache, spec: ProblemSpec, U, V) -> float:
     """Objective via the trace identity
-    ``||U V^T - M||_F^2 = tr((U^T U)(V^T V)) - 2 tr((M^T U) V) + ||M||_F^2``,
-    never forming U V^T.
+    ``||U V^T - M||_F^2 = tr((U^T U)(V^T V)) - 2 tr(U^T M V) + ||M||_F^2``,
+    never forming U V^T; ``cache`` holds the refreshed products of (U, V).
     """
-    reg = spec.psi.eval(U) + spec.phi.eval(V)
-    if math.isinf(reg):
-        return math.inf
-    fit = (
-        float(np.sum(cache.UtU * cache.VtV))
-        - 2.0 * float(np.sum(cache.MtU * V))
-        + cache.normM2
-    )
-    val = reg + 0.5 * fit
-    if lam:
-        sym = (
-            float(np.trace(cache.UtU))
-            - 2.0 * float(np.trace(cache.UtV))
-            + float(np.trace(cache.VtV))
-        )
-        val += 0.5 * lam * sym
-    return val
+    return _penalized(spec, U, V, lambda: 0.5 * (
+        cache.tr_gram - 2.0 * cache.tr_cross + cache.normM2))
 
 
 def snmf_spec(M, r, lam, psi=None, phi=None) -> ProblemSpec:
@@ -237,8 +229,6 @@ def snmf_spec(M, r, lam, psi=None, phi=None) -> ProblemSpec:
     a copy; the spec keeps any b without a copy, so M must not change while
     the spec is in use.
     """
-    from .regularizers import NonnegIndicator
-
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     if M.shape != (n, n):
@@ -251,5 +241,5 @@ def snmf_spec(M, r, lam, psi=None, phi=None) -> ProblemSpec:
         phi=phi if phi is not None else NonnegIndicator(),
         lam=float(lam),
         n=n,
-        r=int(r),
+        r=r,
     )

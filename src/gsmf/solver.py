@@ -73,10 +73,25 @@ class SolverConfig:
     audit: bool = False
 
     def __post_init__(self):
-        for name in ("window", "consec_required", "max_iters", "seed"):
+        for name, least in (("window", 1), ("consec_required", 1), ("max_iters", 0),
+                            ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}")
+        for name in ("p_const", "mu_min", "sigma_min", "sigma_max0", "tau", "c",
+                     "tol", "max_time_sec"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or math.isnan(value)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            # inf means "no limit" for sigma's cap and the time budget, and
+            # for tol, where every change counts as small
+            if value == math.inf and name not in ("sigma_max0", "max_time_sec", "tol"):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+            if value <= 0 and name in ("mu_min", "c", "tol"):
+                raise ConfigError(f"{name} must be positive")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.line_search not in LINE_SEARCHES:
@@ -85,24 +100,10 @@ class SolverConfig:
             )
         if not (0 < self.sigma_min < self.sigma_max0):
             raise ConfigError("need 0 < sigma_min < sigma_max0")
-        if self.mu_min <= 0:
-            raise ConfigError("mu_min must be positive")
         if self.tau <= 1:
             raise ConfigError("tau must exceed 1")
-        if self.c <= 0:
-            raise ConfigError("c must be positive")
         if not (0 < self.p_const <= 1):
             raise ConfigError("p_const must lie in (0, 1]")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
-        if self.consec_required < 1:
-            raise ConfigError("consec_required must be >= 1")
-        if self.max_iters < 0:
-            raise ConfigError("max_iters must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -170,7 +171,8 @@ class _Kernel:
         self.bz = b / (a + b)
         # M V for the last accepted V, which the next begin_outer reuses as M Y
         self._V = self._MV = None
-        self._U = self._ZtU = None  # sigma-only retries reuse the last Z^T U
+        # sigma-only retries reuse the last U's U^T U and Z^T U
+        self._U = self._UtU = self._ZtU = None
         self._misfit = None  # the last candidate's misfit when Z is materialized
         self.cache = (GramCache(spec.map.adjoint(spec.b))
                       if isinstance(spec.map, FullVectorization) else None)
@@ -202,13 +204,14 @@ class _Kernel:
     def update_v(self, U, sigma):
         if U is not self._U:
             self._U = U
+            self._UtU = U.T @ U
             if self.Z is None:
                 self._MtU = _mul_thin(self.cache.M.T, U)
                 self._ZtU = self.az * (self.Y @ (self.X.T @ U)) + self.bz * self._MtU
             else:
                 self._ZtU = _mul_thin(self.Z.T, U)
         return _block(self.config.scheme, self.spec, self.params.alpha, "V",
-                      self.spec.phi, self.Y, U, U.T @ U, self._ZtU, sigma)
+                      self.spec.phi, self.Y, U, self._UtU, self._ZtU, sigma)
 
     # -- stationarity --------------------------------------------------------
 
@@ -242,13 +245,9 @@ class _Kernel:
         """
         if self.Z is None:
             cache = self.cache
-            cache.refresh(U, V, self._MtU)
-            scale = (
-                abs(float(np.sum(cache.UtU * cache.VtV)))
-                + 2.0 * abs(float(np.sum(cache.MtU * V)))
-                + cache.normM2
-            )
-            val = snmf_objective_cached(cache, self.spec, U, V, self.spec.lam)
+            cache.refresh(V, self._MtU, self._UtU)
+            scale = abs(cache.tr_gram) + 2.0 * abs(cache.tr_cross) + cache.normM2
+            val = snmf_objective_cached(cache, self.spec, U, V)
             if abs(val) > 1e5 * _EPS * scale:
                 self.f_err = 64.0 * _EPS * scale
                 return val

@@ -192,6 +192,27 @@ def test_recipe_validation():
         DatasetRecipe(source="file")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 4.0, "n must be an integer"),
+    ("n", "4", "n must be an integer"),
+    ("m", 2.5, "m must be an integer"),
+    ("m", True, "m must be an integer"),
+    ("seed", 1.5, "seed must be an integer"),
+    ("seed", -1, "seed must be >= 0"),
+    ("noise_t", math.nan, "noise_t must be finite and >= 0"),
+    ("noise_t", math.inf, "noise_t must be finite and >= 0"),
+])
+def test_recipe_rejects_an_unusable_value(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        DatasetRecipe(**{"source": "synthetic", "n": 4, "m": 2, field: value})
+
+
+def test_recipe_accepts_numpy_integers():
+    recipe = DatasetRecipe(source="synthetic", n=np.int64(4), m=np.int32(2),
+                           seed=np.uint8(3))
+    assert gen_data(recipe).shape == (4, 4)
+
+
 # --------------------------------------------------------------------------
 # gen-data subcommand
 # --------------------------------------------------------------------------

@@ -130,14 +130,23 @@ def test_penalty_threshold_identity_instance():
     assert satisfied
 
 
-def test_penalty_threshold_matches_dense_oracle():
+@pytest.mark.parametrize("kind", ["full", "sampling"])
+def test_penalty_threshold_matches_dense_oracle(kind):
     rng = np.random.default_rng(8)
-    spec, _ = planted(7, 3, 9, lam=0.5)
-    X = rng.uniform(size=(7, 3))
-    Y = rng.uniform(size=(7, 3))
-    threshold, _ = exact_penalty_threshold(spec, X, Y)
+    n = 7 if kind == "full" else 30
+    spec, _ = planted(n, 3, 9, lam=0.5)
     M = spec.map.adjoint(spec.b)
-    want = 0.5 * (np.linalg.norm(X @ Y.T, 2) - np.linalg.eigvalsh(M)[0])
+    mask = np.ones((n, n))
+    if kind == "sampling":
+        # the oracle masks X Y^T and M by Omega densely
+        amap = SymmetricSampling(n, random_symmetric_omega(n, 0.3, rng))
+        mask = amap.adjoint(np.ones(amap.q))
+        spec = ProblemSpec(amap, amap.apply(M), spec.psi, spec.phi, spec.lam, n, 3)
+    X = rng.uniform(size=(n, 3))
+    Y = rng.uniform(size=(n, 3))
+    threshold, _ = exact_penalty_threshold(spec, X, Y)
+    want = 0.5 * (np.linalg.norm(mask * (X @ Y.T), 2)
+                  - np.linalg.eigvalsh(mask * M)[0])
     assert threshold == pytest.approx(want, rel=1e-8)
 
 

@@ -62,6 +62,34 @@ def test_problem_spec_rejects_rank_below_one():
         ProblemSpec(FullVectorization(3), np.zeros(9), Zero(), Zero(), 0.0, n=3, r=-1)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("lam", math.nan, "lambda must be finite and >= 0"),
+    ("lam", math.inf, "lambda must be finite and >= 0"),
+    ("r", 2.5, "r must be an integer"),
+    ("r", 2.0, "r must be an integer"),
+    ("r", True, "r must be an integer"),
+    ("n", 3.0, "n must be an integer"),
+])
+def test_problem_spec_rejects_an_unusable_value(field, value, message):
+    fields = dict(map=FullVectorization(3), b=np.zeros(9), psi=Zero(), phi=Zero(),
+                  lam=1.0, n=3, r=2)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ProblemSpec(**{**fields, field: value})
+
+
+def test_snmf_spec_rejects_a_fractional_rank():
+    with pytest.raises(ValueError, match="^r must be an integer, got 2.5"):
+        snmf_spec(np.eye(3), 2.5, 1.0)
+
+
+def test_problem_spec_accepts_numpy_integers():
+    spec = snmf_spec(np.eye(3), np.int64(2), 1.0)
+    assert spec.r == 2
+    spec = ProblemSpec(FullVectorization(3), np.zeros(9), Zero(), Zero(), 1.0,
+                       n=np.int32(3), r=np.int64(2))
+    assert (spec.n, spec.r) == (3, 2)
+
+
 def test_relaxation_params_validation():
     with pytest.raises(ValueError, match="gamma"):
         RelaxationParams(alpha=0.6, gamma=0.0)
@@ -357,8 +385,8 @@ def test_snmf_objective_cached_matches_f_lambda():
     for _ in range(10):
         U = rng.uniform(size=(30, 4))
         V = rng.uniform(size=(30, 4))
-        cache.refresh(U, V, M.T @ U)
-        got = snmf_objective_cached(cache, spec, U, V, spec.lam)
+        cache.refresh(V, M.T @ U, U.T @ U)
+        got = snmf_objective_cached(cache, spec, U, V)
         want = f_lambda(spec, U, V)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -369,8 +397,8 @@ def test_snmf_objective_cached_zero_at_planted_pair():
     M = U @ U.T
     spec = snmf_spec(M, 3, 1.0)
     cache = GramCache(M)
-    cache.refresh(U, U, M.T @ U)
-    assert snmf_objective_cached(cache, spec, U, U, 1.0) == pytest.approx(
+    cache.refresh(U, M.T @ U, U.T @ U)
+    assert snmf_objective_cached(cache, spec, U, U) == pytest.approx(
         0.0, abs=1e-10
     )
 
@@ -383,9 +411,29 @@ def test_snmf_objective_cached_rank_one_reduction():
     M = 0.5 * (M + M.T)
     spec = snmf_spec(M, 1, 0.0, psi=Zero(), phi=Zero())
     cache = GramCache(M)
-    cache.refresh(u, v, M.T @ u)
-    got = snmf_objective_cached(cache, spec, u, v, 0.0)
+    cache.refresh(v, M.T @ u, u.T @ u)
+    got = snmf_objective_cached(cache, spec, u, v)
     assert got == pytest.approx(0.5 * float(np.sum((u @ v.T - M) ** 2)), rel=1e-12)
+
+
+def test_snmf_objective_cached_symmetry_term_near_symmetric_pairs():
+    # V = U + 1e-7 noise: the symmetry term is ~1e-12 of tr(U^T U), where the
+    # trace form tr(U^T U) - 2 tr(U^T V) + tr(V^T V) keeps two or three digits
+    n, r = 200, 7
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        U = rng.uniform(size=(n, r))
+        V = U + 1e-7 * rng.standard_normal((n, r))
+        M = U @ U.T
+        cache = GramCache(M)
+        cache.refresh(V, M.T @ U, U.T @ U)
+        with_lam, without = (
+            snmf_objective_cached(cache, snmf_spec(M, r, lam, psi=Zero(), phi=Zero()),
+                                  U, V)
+            for lam in (100.0, 0.0)
+        )
+        want = 50.0 * float(np.sum((U - V) ** 2))
+        assert with_lam - without == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_gram_cache_products_match_recomputation():
@@ -394,8 +442,9 @@ def test_gram_cache_products_match_recomputation():
     cache = GramCache(M)
     U = rng.uniform(size=(7, 3))
     V = rng.uniform(size=(7, 3))
-    cache.refresh(U, V, M.T @ U)
+    cache.refresh(V, M.T @ U, U.T @ U)
     assert np.allclose(cache.UtU, U.T @ U, rtol=1e-12)
     assert np.allclose(cache.VtV, V.T @ V, rtol=1e-12)
-    assert np.allclose(cache.UtV, U.T @ V, rtol=1e-12)
+    assert cache.tr_gram == pytest.approx(np.trace(U.T @ U @ V.T @ V), rel=1e-12)
+    assert cache.tr_cross == pytest.approx(np.trace(U.T @ M @ V), rel=1e-12)
     assert cache.normM2 == pytest.approx(float(np.sum(M * M)), rel=1e-14)

@@ -82,6 +82,26 @@ def test_config_accepts_numpy_integers(field):
     assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
 
 
+_FLOAT_FIELDS = ("p_const", "mu_min", "sigma_min", "sigma_max0", "tau", "c", "tol",
+                 "max_time_sec")
+_NO_LIMIT = ("sigma_max0", "max_time_sec", "tol")  # inf means "no limit"
+
+
+@pytest.mark.parametrize("field, value", [
+    *((f, math.nan) for f in _FLOAT_FIELDS),
+    *((f, math.inf) for f in _FLOAT_FIELDS if f not in _NO_LIMIT),
+    ("tol", "1e-9"),
+])
+def test_config_rejects_a_non_finite_number(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be (a number|finite), got"):
+        SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", _NO_LIMIT)
+def test_config_accepts_inf_as_no_limit(field):
+    assert getattr(SolverConfig(**{field: math.inf}), field) == math.inf
+
+
 def test_proximal_scheme_needs_zero_regularizer():
     spec, _ = planted(6, 2, 0)
     params = RelaxationParams.from_alpha(0.6)
