@@ -78,6 +78,11 @@ class LinearMap:
         G = self.adjoint(self.misfit(X, Y, b) if misfit is None else misfit)
         return G @ Y, G.T @ X
 
+    def adjoint_t_mul(self, v, W):
+        """``A*(v)^T W`` for an n-by-r W.  This dense version forms
+        ``A*(v)`` and is the reference the subclasses must match."""
+        return self.adjoint(v).T @ W
+
     def shifted_inverse_apply(self, alpha, beta, W):
         """Apply ``(alpha I + beta A* A)^{-1}`` to ``W``.
 
@@ -249,11 +254,18 @@ class SymmetricSampling(LinearMap):
     def misfit_products(self, X, Y, b, misfit=None):
         """G is |Omega|-sparse with the misfit on Omega, so both products
         cost O(|Omega| r) and need no n-by-n memory."""
-        if misfit is None:
-            misfit = self.misfit(X, Y, b)
-        G = sparse.csc_array((misfit, self._rows, self._colptr),
-                             shape=(self.n, self.n))
+        G = self._sparse_adjoint(self.misfit(X, Y, b) if misfit is None else misfit)
         return G @ Y, G.T @ X
+
+    def adjoint_t_mul(self, v, W):
+        """``A*(v)^T W`` from the |Omega|-sparse ``A*(v)``: O(|Omega| r), no
+        n-by-n memory."""
+        return self._sparse_adjoint(v).T @ W
+
+    def _sparse_adjoint(self, v):
+        """``A*(v)`` as a CSC matrix."""
+        return sparse.csc_array((self._check_vector(v), self._rows, self._colptr),
+                                shape=(self.n, self.n))
 
 
 def _first_malformed(omega):

@@ -92,6 +92,8 @@ class SolverConfig:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
             if value <= 0 and name in ("mu_min", "c", "tol"):
                 raise ConfigError(f"{name} must be positive")
+            if value < 0 and name == "max_time_sec":
+                raise ConfigError(f"{name} must be >= 0")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.line_search not in LINE_SEARCHES:
@@ -154,10 +156,14 @@ class SolveResult:
 class _Kernel:
     """Per-solve scratch: the products the block updates and the objective read.
 
-    On a general map it materializes Z; on the full vectorization (symmetric
-    NMF) it works matrix-free through the target M and the Gram cache, never
-    forming X Y^T or Z.  Every n-by-n times n-by-r product (most of the time
-    of an outer iteration) goes through ``_mul_thin``, its fastest orientation.
+    On the full vectorization (symmetric NMF) it works matrix-free through
+    the target M and the Gram cache, never forming X Y^T or Z.  On any other
+    map it forms the dense Z once per outer iteration, for Z Y alone; the V
+    block reads ``Z^T U = Y (X^T U) - c A*(m)^T U``, c = beta/(alpha+beta),
+    from the misfit m at (X, Y) through the map's ``adjoint_t_mul``, which
+    costs O(|Omega| r) on the sampling map.  Every n-by-n times n-by-r
+    product (most of the time of an outer iteration) goes through
+    ``_mul_thin``, its fastest orientation.
     """
 
     def __init__(self, spec: ProblemSpec, params: RelaxationParams,
@@ -173,7 +179,8 @@ class _Kernel:
         self._V = self._MV = None
         # sigma-only retries reuse the last U's U^T U and Z^T U
         self._U = self._UtU = self._ZtU = None
-        self._misfit = None  # the last candidate's misfit when Z is materialized
+        # the last candidate's misfit off the full map, and that candidate
+        self._misfit = self._misfit_at = self.Z = None
         self.cache = (GramCache(spec.map.adjoint(spec.b))
                       if isinstance(spec.map, FullVectorization) else None)
         _check_scheme(config.scheme, spec)
@@ -184,15 +191,26 @@ class _Kernel:
         self.X = X
         self.Y = Y
         self.Gy = Y.T @ Y
-        # drop the last Z before z_star forms the next: one n-by-n Z at a time
-        self._U = self._misfit = self.Z = None
+        self._U = None
         if self.cache is not None:
             # Z Y without forming Z:  Z = az * X Y^T + bz * M
             MY = self._MV if Y is self._V else _mul_thin(self.cache.M, Y)
             self.ZY = self.az * (X @ self.Gy) + self.bz * MY
         else:
+            # Z is read only here, but it is dropped only now, just before
+            # z_star forms the next: the new Z then takes the freed block.
+            # Freed earlier, the step's small arrays split that block and
+            # the next Z grows the heap by an n-by-n array.
+            self.Z = None
             self.Z = z_star(self.spec, self.params, X, Y)
             self.ZY = _mul_thin(self.Z, Y)
+            # the misfit at (X, Y) is the accepted candidate's, which the
+            # objective formed last; only the first step forms it, after Z
+            # for the same reason
+            at = self._misfit_at
+            if self._misfit is None or at[0] is not X or at[1] is not Y:
+                self._misfit = self.spec.map.misfit(X, Y, self.spec.b)
+            self._misfit_xy = self._misfit
         self.ynorm2 = spectral_norm_sq(Y)
 
     # -- blocks -------------------------------------------------------------
@@ -205,11 +223,12 @@ class _Kernel:
         if U is not self._U:
             self._U = U
             self._UtU = U.T @ U
-            if self.Z is None:
+            if self.cache is not None:
                 self._MtU = _mul_thin(self.cache.M.T, U)
                 self._ZtU = self.az * (self.Y @ (self.X.T @ U)) + self.bz * self._MtU
             else:
-                self._ZtU = _mul_thin(self.Z.T, U)
+                GtU = self.spec.map.adjoint_t_mul(self._misfit_xy, U)
+                self._ZtU = self.Y @ (self.X.T @ U) - self.bz * GtU
         return _block(self.config.scheme, self.spec, self.params.alpha, "V",
                       self.spec.phi, self.Y, U, self._UtU, self._ZtU, sigma)
 
@@ -221,10 +240,10 @@ class _Kernel:
         On the matrix-free path ``M^T U`` comes from ``update_v`` and the
         Gram matrices from the cache :meth:`objective` refreshed for
         (U, V); the one new product ``M V`` is kept for the next
-        :meth:`begin_outer`.  When Z is materialized the map forms them from
-        the misfit :meth:`objective` formed for (U, V).
+        :meth:`begin_outer`.  Off the full map the map forms them from the
+        misfit :meth:`objective` formed for (U, V).
         """
-        if self.Z is not None:
+        if self.cache is None:
             return diagnostics.gradients(self.spec, U, V, misfit=self._misfit)
         cache = self.cache
         self._V, self._MV = V, _mul_thin(cache.M, V)
@@ -243,7 +262,7 @@ class _Kernel:
         residual itself.  The line search consumes the error estimate
         (``f_err``) as its acceptance slack.
         """
-        if self.Z is None:
+        if self.cache is not None:
             cache = self.cache
             cache.refresh(V, self._MtU, self._UtU)
             scale = abs(cache.tr_gram) + 2.0 * abs(cache.tr_cross) + cache.normM2
@@ -253,8 +272,10 @@ class _Kernel:
                 return val
             val = f_lambda(self.spec, U, V)
         else:
-            # kept for the residual's products in gradients
+            # kept for the residual's products in gradients, and for the next
+            # begin_outer if (U, V) is accepted
             self._misfit = self.spec.map.misfit(U, V, self.spec.b)
+            self._misfit_at = U, V
             val = f_lambda(self.spec, U, V, misfit=self._misfit)
         self.f_err = _roundoff_bound(val, self.spec.bnorm)
         return val

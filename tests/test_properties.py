@@ -1,7 +1,8 @@
-"""Property tests: each map's misfit, misfit products and in-place adjoint
-correction against the dense oracle; the adjoint identity, the partial
-isometry, the relaxation identity Theta(X, Y, z*(X, Y)) = F(X, Y), and each
-map's apply on C-, F- and non-contiguous matrices."""
+"""Property tests: each map's misfit, misfit products, product with the
+adjoint and in-place adjoint correction against the dense oracle; the
+adjoint identity, the partial isometry, the relaxation identity
+Theta(X, Y, z*(X, Y)) = F(X, Y), and each map's apply on C-, F- and
+non-contiguous matrices."""
 
 import tracemalloc
 
@@ -172,6 +173,32 @@ def test_theta_at_z_star_equals_objective(kind, n, r, seed, density, alpha, lam)
     f = f_lambda(spec, X, Y)
     got = theta(spec, params, X, Y, z_star(spec, params, X, Y))
     assert abs(got - f) <= 1e-10 * (1.0 + abs(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=maps, n=sizes, r=st.integers(min_value=1, max_value=4), seed=seeds,
+       density=densities)
+def test_adjoint_t_mul_matches_dense_oracle(kind, n, r, seed, density):
+    rng = np.random.default_rng(seed)
+    amap = _map(kind, n, density, rng)
+    v, W = rng.standard_normal(amap.q), rng.standard_normal((n, r))
+    got = amap.adjoint_t_mul(v, W)
+    assert got.shape == (n, r)
+    np.testing.assert_allclose(got, amap.adjoint(v).T @ W, rtol=1e-12, atol=1e-12)
+
+
+def test_sampling_adjoint_t_mul_allocates_no_n_by_n_array():
+    n = 1000
+    rng = np.random.default_rng(3)
+    amap = SymmetricSampling(n, random_symmetric_omega(n, 0.01, rng))
+    v, W = rng.standard_normal(amap.q), rng.standard_normal((n, 10))
+    tracemalloc.start()
+    try:
+        amap.adjoint_t_mul(v, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 8 * n * n, f"adjoint_t_mul peaked at {peak} bytes"
 
 
 @settings(max_examples=60, deadline=None)

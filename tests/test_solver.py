@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gsmf import diagnostics
+from gsmf.data import DatasetRecipe, gen_data
 from gsmf.objective import (
     ProblemSpec,
     RelaxationParams,
@@ -95,6 +96,12 @@ _NO_LIMIT = ("sigma_max0", "max_time_sec", "tol")  # inf means "no limit"
 def test_config_rejects_a_non_finite_number(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be (a number|finite), got"):
         SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [-1.0, -1e-300, -math.inf])
+def test_config_rejects_a_negative_time_limit(value):
+    with pytest.raises(ConfigError, match="^max_time_sec must be >= 0$"):
+        SolverConfig(max_time_sec=value)
 
 
 @pytest.mark.parametrize("field", _NO_LIMIT)
@@ -635,7 +642,8 @@ def test_shared_kernel_reuse_matches_fresh_steps(scheme, alpha, mu_min, backtrac
 @pytest.mark.parametrize("sampling", [False, True])
 def test_sigma_only_retries_reuse_the_u_product(monkeypatch, sampling):
     # once mu is at its cap only sigma escalates and U stays the same, so
-    # update_v forms M^T U (or Z^T U) once per U, not once per retry
+    # update_v forms M^T U (or A*(m)^T U on the sampling map) once per U,
+    # not once per retry
     from gsmf import operators, solver as solver_mod
     from gsmf.data import DatasetRecipe, gen_data
     from gsmf.objective import ProblemSpec
@@ -654,7 +662,9 @@ def test_sigma_only_retries_reuse_the_u_product(monkeypatch, sampling):
     config = SolverConfig(scheme="prox_linear", max_iters=30, seed=0)
 
     kernel = solver_mod._Kernel
-    update_u, update_v, mul_thin = kernel.update_u, kernel.update_v, solver_mod._mul_thin
+    update_u, update_v = kernel.update_u, kernel.update_v
+    owner, name = (spec.map, "adjoint_t_mul") if sampling else (solver_mod, "_mul_thin")
+    product = getattr(owner, name)
     us, v_calls, u_products = [], [0], [0]
 
     def spy_update_u(self, mu):
@@ -665,13 +675,13 @@ def test_sigma_only_retries_reuse_the_u_product(monkeypatch, sampling):
         v_calls[0] += 1
         return update_v(self, U, sigma)
 
-    def spy_mul_thin(A, W):
+    def spy_product(operand, W):
         u_products[0] += any(W is U for U in us)
-        return mul_thin(A, W)
+        return product(operand, W)
 
     monkeypatch.setattr(kernel, "update_u", spy_update_u)
     monkeypatch.setattr(kernel, "update_v", spy_update_v)
-    monkeypatch.setattr(solver_mod, "_mul_thin", spy_mul_thin)
+    monkeypatch.setattr(owner, name, spy_product)
     reused = solve(spec, params, config)
     assert v_calls[0] > len(us)  # some retries escalated sigma alone
     assert u_products[0] == len(us)
@@ -713,7 +723,9 @@ def test_sampling_solve_forms_one_misfit_per_candidate(monkeypatch):
     kept = solve(spec, params, config)
     inner = sum(rec.inner_iterations for rec in kept.records)
     assert inner > len(kept.records)  # some candidates were rejected
-    assert calls[0] == inner + 1  # one per candidate, one for the start
+    # one per candidate, one for the start's objective and one for the first
+    # step's Z^T U; later steps reuse the accepted candidate's
+    assert calls[0] == inner + 2
 
     gradients = solver_mod._Kernel.gradients
 
@@ -725,3 +737,55 @@ def test_sampling_solve_forms_one_misfit_per_candidate(monkeypatch):
     fresh = solve(spec, params, config)
     assert kept.records == fresh.records
     assert np.array_equal(kept.X, fresh.X) and np.array_equal(kept.Y, fresh.Y)
+
+
+def _sampling_spec(reg):
+    n = 60
+    M = gen_data(DatasetRecipe("synthetic", n=n, m=3, seed=1, noise_t=0.01,
+                               symmetrize_noise=True))
+    amap = SymmetricSampling(n, random_symmetric_omega(n, 0.5, np.random.default_rng(2)))
+    return ProblemSpec(amap, amap.apply(M), reg, reg, 1.0, n=n, r=3)
+
+
+@pytest.mark.parametrize("scheme", ["proximal", "prox_linear", "hierarchical"])
+def test_sampling_kernel_v_block_matches_the_dense_z(scheme):
+    # the kernel reads Z^T U from the misfit; the public update_v from Z
+    from gsmf.solver import _Kernel
+
+    spec = _sampling_spec(Zero())
+    params = RelaxationParams.from_alpha(0.6)
+    rng = np.random.default_rng(7)
+    X, Y = rng.uniform(size=(60, 3)), rng.uniform(size=(60, 3))
+    kern = _Kernel(spec, params, SolverConfig(scheme=scheme))
+    kern.begin_outer(X, Y)
+    U = kern.update_u(2.0)
+    got = kern.update_v(U, 3.0)
+    want = update_v(scheme, spec, params, U, Y, z_star(spec, params, X, Y), 3.0)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_sampling_solve_forms_one_dense_product_per_step(monkeypatch):
+    # Z Y is the one n-by-n times n-by-r product of a sampling-map step;
+    # Z^T U comes from the sparse misfit
+    from gsmf import solver as solver_mod
+
+    spec = _sampling_spec(NonnegIndicator())
+    params = RelaxationParams.from_alpha(0.6)
+    config = SolverConfig(scheme="prox_linear", max_iters=30, seed=0)
+    mul_thin, begin_outer = solver_mod._mul_thin, solver_mod._Kernel.begin_outer
+    ys, operands = [], []
+
+    def spy_begin_outer(self, X, Y):
+        ys.append(Y)
+        return begin_outer(self, X, Y)
+
+    def spy_mul_thin(A, W):
+        operands.append(W)
+        return mul_thin(A, W)
+
+    monkeypatch.setattr(solver_mod._Kernel, "begin_outer", spy_begin_outer)
+    monkeypatch.setattr(solver_mod, "_mul_thin", spy_mul_thin)
+    result = solve(spec, params, config)
+    assert sum(rec.inner_iterations for rec in result.records) > 30
+    assert len(operands) == len(ys) == 30
+    assert all(W is Y for W, Y in zip(operands, ys))
