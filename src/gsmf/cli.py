@@ -6,7 +6,9 @@ an unknown section or field is an error, a missing or null field keeps its
 default, and a value reads as its default's type (a number parses a string,
 an int takes ``3.0``) or, if that reading would change it (``3.9`` for an
 int, ``"false"`` for a bool, ``true`` for a number), is an error naming the
-field.  Flags override file values, ``--out`` overrides ``output.dir``.
+field.  ``problem.psi``, ``problem.phi`` and ``problem.map`` are kinded
+mappings (:func:`_read_kinded`): a ``kind`` and the fields of that kind.
+Flags override file values, ``--out`` overrides ``output.dir``.
 Traces go to CSV (one row per accepted outer iteration), run summaries and
 the `check` report to JSON.  Exit codes: 0 success/converged, 2
 budget-limited, 1 error.
@@ -52,12 +54,16 @@ class ConfigFileError(ValueError):
 # its type when it must be set; a default of None takes any value
 SECTIONS = {
     "dataset": {f.name: f.default for f in dataclasses.fields(data.DatasetRecipe)},
-    "problem": {"rank": int, "lambda": 0.0, "psi": None, "phi": None, "map": {}},
+    "problem": {"rank": int, "lambda": 0.0, "psi": None, "phi": None, "map": None},
     "relaxation": {"alpha": float, "gamma": None},
     "solver": {f.name: f.default for f in dataclasses.fields(SolverConfig)},
     "output": {"dir": ""},
     "sweep": {**dict.fromkeys(SWEEP_AXES), "reps": 1},
 }
+# the fields each kind of a kinded mapping takes, as SECTIONS gives them
+REGULARIZER_KINDS = {kind: {f.name: f.default for f in dataclasses.fields(cls)}
+                     for kind, cls in regularizers.KINDS.items()}
+MAP_KINDS = {"full": {}, "sampling": {"omega_csv": str}}
 
 
 def _read(section, fields, path):
@@ -106,26 +112,38 @@ def build_recipe(cfg, seed_override=None):
     return data.DatasetRecipe(**ds)
 
 
+def _read_kinded(value, kinds, default, path):
+    """A kinded mapping, ``{kind: ..., <the fields of that kind>}``, as
+    ``(kind, fields)``: ``kind`` is ``default`` when missing or when the
+    mapping is null, a bare kind name reads as ``{kind: name}``, and the
+    fields are read by :func:`_read` against ``kinds[kind]``."""
+    if value is None or isinstance(value, str):
+        value = {"kind": value}
+    if not isinstance(value, dict):
+        raise ConfigFileError(f"`{path}`: need a kind name or a mapping, got {value!r}")
+    kind = _read({"kind": value.get("kind")}, {"kind": default}, path)["kind"]
+    if kind not in kinds:
+        raise ConfigFileError(f"`{path}.kind`: unknown kind {kind!r}; "
+                              f"choose from {sorted(kinds)}")
+    return kind, _read({k: v for k, v in value.items() if k != "kind"}, kinds[kind], path)
+
+
 def _regularizer(prob, key):
+    path = f"problem.{key}"
+    kind, fields = _read_kinded(prob[key], REGULARIZER_KINDS, "nonneg", path)
     try:
-        return regularizers.from_config("nonneg" if prob[key] is None else prob[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigFileError(f"problem.{key}: {exc}") from exc
+        return regularizers.KINDS[kind](**fields)
+    except ValueError as exc:
+        raise ConfigFileError(f"`{path}`: {exc}") from exc
 
 
 def build_spec(cfg, M):
     prob = _section(cfg, "problem")
     psi, phi = _regularizer(prob, "psi"), _regularizer(prob, "phi")
     n = M.shape[0]
-    map_cfg = _read(prob["map"], {"kind": "full", "omega_csv": None}, "problem.map")
-    if map_cfg["kind"] == "full":
-        amap = operators.FullVectorization(n)
-    elif map_cfg["kind"] == "sampling":
-        map_cfg = _read(map_cfg, {"kind": str, "omega_csv": str}, "problem.map")
-        amap = operators.SymmetricSampling(
-            n, operators.load_omega_csv(map_cfg["omega_csv"]))
-    else:
-        raise ConfigFileError(f"`problem.map.kind`: unknown kind {map_cfg['kind']!r}")
+    kind, fields = _read_kinded(prob["map"], MAP_KINDS, "full", "problem.map")
+    amap = (operators.FullVectorization(n) if kind == "full" else
+            operators.SymmetricSampling(n, operators.load_omega_csv(fields["omega_csv"])))
     return ProblemSpec(map=amap, b=amap.apply(M), psi=psi, phi=phi,
                        lam=prob["lambda"], n=n, r=prob["rank"])
 

@@ -26,7 +26,8 @@ _NOISE_BLOCK = 1 << 14
 
 @dataclass
 class DatasetRecipe:
-    """Where the factor source N comes from and how M is assembled."""
+    """Where the factor source N comes from and how M is assembled; n and m
+    are read by the synthetic source only, path by the file source only."""
 
     source: str = "synthetic"  # or "file"
     n: int = 0
@@ -52,6 +53,11 @@ class DatasetRecipe:
             raise ValueError("synthetic datasets need n >= 1 and m >= 1")
         if self.source == "file" and not self.path:
             raise ValueError("file datasets need a path")
+        if self.source == "synthetic" and self.path is not None:
+            raise ValueError(f"synthetic datasets read no path, got {self.path!r}")
+        if self.source == "file" and (self.n or self.m):
+            raise ValueError(f"file datasets take their size from the file: n and m "
+                             f"must be 0, got n={self.n}, m={self.m}")
 
 
 def load_matrix(path):

@@ -6,13 +6,18 @@ weak-convexity modulus, 0 for all built-ins since they are convex) and
 ``column_separable``.  Infeasibility is reported as ``math.inf`` from
 ``eval``; prox always lands in the domain.
 
-User-defined regularizers can subclass :class:`Regularizer`; nonconvex
-choices must declare their own ``kappa``.
+The built-ins are dataclasses whose fields, each a finite real number >= 0,
+are the kind's parameters; :data:`KINDS` names them.  User-defined
+regularizers can subclass :class:`Regularizer`; nonconvex choices must
+declare their own ``kappa``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +27,16 @@ class Regularizer:
 
     kappa = 0.0
     column_separable = True
+
+    def __post_init__(self):
+        """A dataclass subclass's fields are finite real numbers >= 0."""
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and value >= 0)):
+                raise ValueError(f"{field.name} must be a finite real number >= 0, "
+                                 f"got {value!r}")
+            setattr(self, field.name, float(value))
 
     def eval(self, X) -> float:
         raise NotImplementedError
@@ -42,6 +57,7 @@ class Regularizer:
             raise ValueError(f"prox step must be positive, got {t}")
 
 
+@dataclass
 class Zero(Regularizer):
     """Identically zero; prox is the identity."""
 
@@ -52,10 +68,8 @@ class Zero(Regularizer):
         self._check_step(t)
         return np.array(W, copy=True)
 
-    def __eq__(self, other):
-        return isinstance(other, Zero)
 
-
+@dataclass
 class NonnegIndicator(Regularizer):
     """Indicator of the nonnegative orthant; prox is the projection."""
 
@@ -66,17 +80,12 @@ class NonnegIndicator(Regularizer):
         self._check_step(t)
         return np.maximum(W, 0.0)
 
-    def __eq__(self, other):
-        return isinstance(other, NonnegIndicator)
 
-
+@dataclass
 class L1(Regularizer):
     """Entrywise l1 penalty ``w * sum |X_ij|``; prox is soft thresholding."""
 
-    def __init__(self, weight):
-        if weight < 0:
-            raise ValueError(f"l1 weight must be >= 0, got {weight}")
-        self.weight = float(weight)
+    weight: float = 1.0
 
     def eval(self, X):
         return self.weight * float(np.abs(np.asarray(X)).sum())
@@ -87,17 +96,12 @@ class L1(Regularizer):
         W = np.asarray(W)
         return np.sign(W) * np.maximum(np.abs(W) - thr, 0.0)
 
-    def __eq__(self, other):
-        return isinstance(other, L1) and other.weight == self.weight
 
-
+@dataclass
 class NonnegPlusL1(Regularizer):
     """Nonnegativity indicator plus a weighted l1 term."""
 
-    def __init__(self, weight):
-        if weight < 0:
-            raise ValueError(f"l1 weight must be >= 0, got {weight}")
-        self.weight = float(weight)
+    weight: float = 1.0
 
     def eval(self, X):
         X = np.asarray(X)
@@ -109,35 +113,6 @@ class NonnegPlusL1(Regularizer):
         self._check_step(t)
         return np.maximum(np.asarray(W) - self.weight * t, 0.0)
 
-    def __eq__(self, other):
-        return isinstance(other, NonnegPlusL1) and other.weight == self.weight
 
-
-_KINDS = {
-    "zero": (Zero, ()),
-    "nonneg": (NonnegIndicator, ()),
-    "l1": (L1, ("weight",)),
-    "nonneg_l1": (NonnegPlusL1, ("weight",)),
-}
-
-
-def from_config(cfg) -> Regularizer:
-    """Build a regularizer from a config mapping like {kind: l1, weight: 0.5};
-    ``weight`` defaults to 1 and is a number, not a bool, and a field the kind
-    does not take is an error."""
-    if isinstance(cfg, str):
-        cfg = {"kind": cfg}
-    if not isinstance(cfg, dict):
-        raise ValueError(f"a regularizer is a kind name or a mapping, got {cfg!r}")
-    kind = cfg.get("kind")
-    if kind not in _KINDS:
-        raise ValueError(
-            f"unknown regularizer kind {kind!r}; choose from {sorted(_KINDS)}"
-        )
-    cls, fields = _KINDS[kind]
-    unknown = sorted(set(cfg) - {"kind", *fields})
-    if unknown:
-        raise ValueError(f"regularizer kind {kind!r} takes no field(s) {unknown}")
-    if isinstance(cfg.get("weight"), bool):
-        raise ValueError(f"weight must be a number, got {cfg['weight']!r}")
-    return cls(*(float(cfg.get(name, 1.0)) for name in fields))
+# each built-in regularizer by the kind name a config gives it
+KINDS = {"zero": Zero, "nonneg": NonnegIndicator, "l1": L1, "nonneg_l1": NonnegPlusL1}

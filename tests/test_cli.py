@@ -10,7 +10,8 @@ import yaml
 from gsmf.cli import TRACE_HEADER, build_recipe, build_spec, load_config, main
 from gsmf.data import DatasetRecipe, gen_data, load_matrix, save_matrix
 from gsmf.objective import RelaxationParams, snmf_spec
-from gsmf.operators import random_symmetric_omega
+from gsmf.operators import FullVectorization, random_symmetric_omega
+from gsmf.regularizers import L1, NonnegIndicator, NonnegPlusL1, Zero
 
 
 def base_config(**overrides):
@@ -207,6 +208,29 @@ def test_recipe_rejects_an_unusable_value(field, value, message):
         DatasetRecipe(**{"source": "synthetic", "n": 4, "m": 2, field: value})
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"source": "file", "path": "N.csv", "n": 100, "m": 50},
+     "file datasets take their size from the file: n and m must be 0, got n=100, m=50"),
+    ({"source": "file", "path": "N.csv", "m": 50},
+     "file datasets take their size from the file: n and m must be 0, got n=0, m=50"),
+    ({"source": "synthetic", "n": 20, "m": 3, "path": "N.csv"},
+     "synthetic datasets read no path, got 'N.csv'"),
+    ({"source": "synthetic", "n": 20, "m": 3, "path": "missing.csv"},
+     "synthetic datasets read no path, got 'missing.csv'"),
+])
+def test_recipe_rejects_a_field_its_source_does_not_read(tmp_path, capsys, monkeypatch,
+                                                         fields, message):
+    monkeypatch.chdir(tmp_path)
+    save_matrix(tmp_path / "N.csv", np.eye(8))
+    with pytest.raises(ValueError) as exc:
+        DatasetRecipe(**fields)
+    assert str(exc.value) == message
+    cfg_path = write_config(tmp_path, base_config(dataset=fields))
+    assert main(["solve", "--config", cfg_path, "--out", "o"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_recipe_accepts_numpy_integers():
     recipe = DatasetRecipe(source="synthetic", n=np.int64(4), m=np.int32(2),
                            seed=np.uint8(3))
@@ -391,9 +415,35 @@ def write_raw_config(tmp_path, **fields):
     ("solve", "output.dir", "5", "`output.dir`: cannot read 5 as str"),
     ("solve", "output.dri", "o", "unknown output field(s): ['dri']"),
     ("solve", "problem.psi", "{kind: l1, weight: abc}",
-     "problem.psi: could not convert string to float: 'abc'"),
+     "`problem.psi.weight`: cannot read 'abc' as float"),
     ("solve", "problem.psi", "{kind: l1, weight: true}",
-     "problem.psi: weight must be a number, got True"),
+     "`problem.psi.weight`: cannot read True as float"),
+    ("solve", "problem.psi", "{kind: l1, weight: .nan}",
+     "`problem.psi`: weight must be a finite real number >= 0, got nan"),
+    ("solve", "problem.psi", "{kind: l1, weight: -1}",
+     "`problem.psi`: weight must be a finite real number >= 0, got -1.0"),
+    ("solve", "problem.phi", "{kind: nonneg_l1, weight: .inf}",
+     "`problem.phi`: weight must be a finite real number >= 0, got inf"),
+    ("solve", "problem.phi", "{kind: nonneg_l1, weight: -.inf}",
+     "`problem.phi`: weight must be a finite real number >= 0, got -inf"),
+    ("solve", "problem.psi", "{kind: scad}", "`problem.psi.kind`: unknown kind 'scad'; "
+     "choose from ['l1', 'nonneg', 'nonneg_l1', 'zero']"),
+    ("solve", "problem.psi", "[l1]",
+     "`problem.psi`: need a kind name or a mapping, got ['l1']"),
+    ("solve", "problem.psi", "{kind: l1, wieght: 2}",
+     "unknown problem.psi field(s): ['wieght']"),
+    ("solve", "problem.phi", "{kind: nonneg, weight: 2}",
+     "unknown problem.phi field(s): ['weight']"),
+    ("solve", "problem.phi", "{weight: 2}",  # the default kind, nonneg
+     "unknown problem.phi field(s): ['weight']"),
+    ("solve", "problem.phi", "{kind: 5}", "`problem.phi.kind`: cannot read 5 as str"),
+    ("solve", "problem.map", "{kind: full, omega_csv: x.csv}",
+     "unknown problem.map field(s): ['omega_csv']"),
+    ("solve", "problem.map", "{kind: dct}", "`problem.map.kind`: unknown kind 'dct'; "
+     "choose from ['full', 'sampling']"),
+    ("solve", "problem.map", "{kind: sampling}", "missing field `problem.map.omega_csv`"),
+    ("solve", "problem.map", "[full]",
+     "`problem.map`: need a kind name or a mapping, got ['full']"),
     ("solve", "solver.p_min", "0.01", "unknown solver field(s): ['p_min']"),
     ("gen-data", "dataset.symmetrize_noise", '"false"',
      "`dataset.symmetrize_noise`: cannot read 'false' as bool"),
@@ -414,6 +464,24 @@ def test_cli_misread_value_is_an_error_naming_its_field(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err == f"error: {message}\n" * 2
     assert not {p.name for p in tmp_path.iterdir()} - {"config.yaml"}
+
+
+@pytest.mark.parametrize("key, text, cls, fields", [
+    ("psi", "zero", Zero, {}),
+    ("psi", "{}", NonnegIndicator, {}),
+    ("psi", "null", NonnegIndicator, {}),
+    ("phi", "{kind: l1}", L1, {"weight": 1.0}),
+    ("phi", "{kind: nonneg_l1, weight: 1e-3}", NonnegPlusL1, {"weight": 1e-3}),
+    ("map", "{}", FullVectorization, {}),
+    ("map", "null", FullVectorization, {}),
+    ("map", "full", FullVectorization, {}),
+])
+def test_cli_reads_a_kinded_mapping(tmp_path, key, text, cls, fields):
+    # a missing kind, a null mapping or a bare kind name reads as its kind
+    cfg = load_config(write_raw_config(tmp_path, **{f"problem__{key}": text}))
+    got = getattr(build_spec(cfg, np.eye(20)), key)
+    assert type(got) is cls
+    assert {name: getattr(got, name) for name in fields} == fields
 
 
 def test_cli_solve_runs_a_p_const_below_one_percent(tmp_path, capsys):

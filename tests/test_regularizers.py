@@ -1,11 +1,26 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gsmf.regularizers import L1, NonnegIndicator, NonnegPlusL1, Zero, from_config
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
-ALL = [Zero(), NonnegIndicator(), L1(0.5), NonnegPlusL1(0.3)]
+from gsmf.regularizers import (  # noqa: E402
+    KINDS,
+    L1,
+    NonnegIndicator,
+    NonnegPlusL1,
+    Zero,
+)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+weights = st.floats(min_value=0.0, max_value=10.0)
+# one instance of every registered kind, each of its fields drawn
+ALL = st.tuples(*(
+    st.builds(cls, **{f.name: weights for f in dataclasses.fields(cls)})
+    for cls in KINDS.values()))
 
 
 def test_eval_examples():
@@ -51,10 +66,11 @@ def test_prox_column_examples():
     assert Zero().prox_column(2, np.array([5.0, -5.0]), 0.1).tolist() == [5.0, -5.0]
 
 
-def test_prox_column_stacks_to_full_prox():
-    rng = np.random.default_rng(0)
-    W = rng.standard_normal((6, 4))
-    for reg in ALL:
+@settings(max_examples=30, deadline=None)
+@given(regs=ALL, seed=seeds)
+def test_prox_column_stacks_to_full_prox(regs, seed):
+    W = np.random.default_rng(seed).standard_normal((6, 4))
+    for reg in regs:
         full = reg.prox(W, 0.37)
         cols = np.column_stack(
             [reg.prox_column(i, W[:, i], 0.37) for i in range(4)]
@@ -62,17 +78,21 @@ def test_prox_column_stacks_to_full_prox():
         assert np.allclose(full, cols, rtol=0, atol=1e-15)
 
 
-def test_prox_rejects_nonpositive_step():
-    for reg in ALL:
+@settings(max_examples=10, deadline=None)
+@given(regs=ALL)
+def test_prox_rejects_nonpositive_step(regs):
+    for reg in regs:
         with pytest.raises(ValueError, match="positive"):
             reg.prox(np.zeros((2, 2)), 0.0)
         with pytest.raises(ValueError, match="positive"):
             reg.prox(np.zeros((2, 2)), -1.0)
 
 
-def test_prox_optimality_under_random_perturbations():
-    rng = np.random.default_rng(1)
-    for reg in ALL:
+@settings(max_examples=30, deadline=None)
+@given(regs=ALL, seed=seeds)
+def test_prox_optimality_under_random_perturbations(regs, seed):
+    rng = np.random.default_rng(seed)
+    for reg in regs:
         W = rng.standard_normal((5, 3))
         t = float(rng.uniform(0.1, 2.0))
         P = reg.prox(W, t)
@@ -83,9 +103,11 @@ def test_prox_optimality_under_random_perturbations():
             assert other >= base - 1e-10
 
 
-def test_firm_nonexpansiveness():
-    rng = np.random.default_rng(2)
-    for reg in ALL:
+@settings(max_examples=30, deadline=None)
+@given(regs=ALL, seed=seeds)
+def test_firm_nonexpansiveness(regs, seed):
+    rng = np.random.default_rng(seed)
+    for reg in regs:
         for _ in range(20):
             W1 = rng.standard_normal((4, 4))
             W2 = rng.standard_normal((4, 4))
@@ -94,39 +116,34 @@ def test_firm_nonexpansiveness():
             assert d_out <= d_in + 1e-12
 
 
-def test_prox_lands_in_domain():
-    rng = np.random.default_rng(3)
-    for reg in ALL:
+@settings(max_examples=30, deadline=None)
+@given(regs=ALL, seed=seeds)
+def test_prox_lands_in_domain(regs, seed):
+    rng = np.random.default_rng(seed)
+    for reg in regs:
         for _ in range(20):
             W = 3.0 * rng.standard_normal((4, 4))
             assert math.isfinite(reg.eval(reg.prox(W, 0.8)))
 
 
-def test_kappa_and_separability_defaults():
-    for reg in ALL:
+@settings(max_examples=10, deadline=None)
+@given(regs=ALL)
+def test_kappa_and_separability_defaults(regs):
+    for reg in regs:
         assert reg.kappa == 0.0
         assert reg.column_separable
 
 
-def test_from_config():
-    assert from_config("zero") == Zero()
-    assert from_config({"kind": "nonneg"}) == NonnegIndicator()
-    assert from_config({"kind": "l1", "weight": 0.5}) == L1(0.5)
-    assert from_config({"kind": "nonneg_l1", "weight": 2.0}) == NonnegPlusL1(2.0)
-    with pytest.raises(ValueError, match="unknown regularizer"):
-        from_config({"kind": "scad"})
-    assert from_config({"kind": "l1"}) == L1(1.0)
-    with pytest.raises(ValueError, match="mapping"):
-        from_config(["l1"])
-    with pytest.raises(ValueError, match="weight must be a number"):
-        from_config({"kind": "l1", "weight": True})
+def test_kinds_compare_by_their_fields():
+    assert L1() == L1(1.0) == L1(1) and L1(0.5) != L1(1.0)
+    assert NonnegPlusL1(2) == NonnegPlusL1(2.0) != L1(2.0)
+    assert Zero() == Zero() != NonnegIndicator()
+    assert type(L1(np.float32(0.5)).weight) is float
 
 
-def test_from_config_rejects_misspelled_weight():
-    with pytest.raises(ValueError, match="wieght"):
-        from_config({"kind": "l1", "wieght": 2})
-
-
-def test_from_config_rejects_weight_on_unweighted_kind():
-    with pytest.raises(ValueError, match="weight"):
-        from_config({"kind": "nonneg", "weight": 2})
+@pytest.mark.parametrize("cls", [L1, NonnegPlusL1])
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0, True, "2"])
+def test_weight_is_checked_at_construction(cls, weight):
+    with pytest.raises(ValueError) as exc:
+        cls(weight)
+    assert str(exc.value) == f"weight must be a finite real number >= 0, got {weight!r}"
