@@ -112,6 +112,19 @@ def build_recipe(cfg, seed_override=None):
     return data.DatasetRecipe(**ds)
 
 
+def build_data(cfg, seed_override=None):
+    """The configured target M; a file it cannot read is named by its field."""
+    return _load(data.gen_data, build_recipe(cfg, seed_override), "dataset.path")
+
+
+def _load(read, arg, field):
+    """``read(arg)``, with an unreadable file made an error naming ``field``."""
+    try:
+        return read(arg)
+    except OSError as exc:
+        raise ConfigFileError(f"`{field}`: {exc}") from exc
+
+
 def _read_kinded(value, kinds, default, path):
     """A kinded mapping, ``{kind: ..., <the fields of that kind>}``, as
     ``(kind, fields)``: ``kind`` is ``default`` when missing or when the
@@ -142,8 +155,11 @@ def build_spec(cfg, M):
     psi, phi = _regularizer(prob, "psi"), _regularizer(prob, "phi")
     n = M.shape[0]
     kind, fields = _read_kinded(prob["map"], MAP_KINDS, "full", "problem.map")
-    amap = (operators.FullVectorization(n) if kind == "full" else
-            operators.SymmetricSampling(n, operators.load_omega_csv(fields["omega_csv"])))
+    if kind == "full":
+        amap = operators.FullVectorization(n)
+    else:
+        amap = operators.SymmetricSampling(n, _load(
+            operators.load_omega_csv, fields["omega_csv"], "problem.map.omega_csv"))
     return ProblemSpec(map=amap, b=amap.apply(M), psi=psi, phi=phi,
                        lam=prob["lambda"], n=n, r=prob["rank"])
 
@@ -176,7 +192,7 @@ def write_trace_csv(path, records):
 
 def run_single(cfg, out_dir, seed=None, tag="run"):
     """Solve one configured instance; returns (summary dict, result)."""
-    spec = build_spec(cfg, data.gen_data(build_recipe(cfg)))
+    spec = build_spec(cfg, build_data(cfg))
     params = build_params(cfg)
     config = build_solver_config(cfg, seed_override=seed)
     t0 = time.perf_counter()
@@ -219,7 +235,7 @@ def _out_dir(args, cfg, default):
 def cmd_gen_data(args):
     cfg = load_config(args.config)
     out = _out_dir(args, cfg, ".")
-    M = data.gen_data(build_recipe(cfg, seed_override=args.seed))
+    M = build_data(cfg, seed_override=args.seed)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "M.csv"
     data.save_matrix(path, M)
@@ -345,7 +361,7 @@ def _check_items(cfg):
             return exc
 
     # each instance is built once, for every item that reads it
-    spec = built(lambda: build_spec(cfg, data.gen_data(build_recipe(cfg))))
+    spec = built(lambda: build_spec(cfg, build_data(cfg)))
     params = built(lambda: build_params(cfg))
 
     def check_params(params):

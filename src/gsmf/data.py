@@ -47,6 +47,9 @@ class DatasetRecipe:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("normalize", "symmetrize_noise"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if not (math.isfinite(self.noise_t) and self.noise_t >= 0):
             raise ValueError(f"noise_t must be finite and >= 0, got {self.noise_t}")
         if self.source == "synthetic" and (self.n < 1 or self.m < 1):

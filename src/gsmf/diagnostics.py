@@ -41,14 +41,14 @@ def spectral_norm_sq(A):
 def gradients(spec: ProblemSpec, X, Y, misfit=None):
     """Partial gradients of the smooth part of the objective.
 
-    The misfit products come from the map: Gram products on the full map,
-    sparse products on the sampling map, never an n-by-n matrix.
-    ``misfit`` may supply ``spec.map.misfit(X, Y, spec.b)``.
+    ``G Y`` and ``G^T X`` come from the map's misfit operator G: Gram
+    products on the full map, sparse products on the sampling map, never
+    an n-by-n matrix.  ``misfit`` may supply ``spec.map.misfit(X, Y, spec.b)``.
     """
     X, Y = spec.check_shapes(X, Y)
-    GY, GtX = spec.map.misfit_products(X, Y, spec.b, misfit=misfit)
+    G = spec.map.misfit_operator(X, Y, spec.b, misfit=misfit)
     D = spec.lam * (X - Y)
-    return GY + D, GtX - D
+    return G @ Y + D, G.T @ X - D
 
 
 def stationarity_residual(spec: ProblemSpec, X, Y, grads=None) -> float:

@@ -22,6 +22,12 @@ from .operators import LinearMap
 from .regularizers import NonnegIndicator, Regularizer
 
 
+def _check_real(name, value):
+    """Reject a value that is not a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """One factorization instance: map, target vector, regularizers, lam, sizes."""
@@ -44,6 +50,7 @@ class ProblemSpec:
             raise ValueError(f"rank r={self.r} must be >= 1")
         if self.r > self.n:
             raise ValueError(f"rank r={self.r} exceeds n={self.n}")
+        _check_real("lambda", self.lam)
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.map.n != self.n:
@@ -89,6 +96,9 @@ class RelaxationParams:
     gamma: float
 
     def __post_init__(self):
+        for name in ("alpha", "gamma"):
+            _check_real(name, getattr(self, name))
+        object.__setattr__(self, "gamma", float(self.gamma))
         if not (math.isfinite(self.alpha) and math.isfinite(self.gamma)):
             raise ValueError(f"alpha and gamma must be finite, got alpha={self.alpha}, "
                              f"gamma={self.gamma}")
@@ -107,9 +117,10 @@ class RelaxationParams:
     @classmethod
     def from_alpha(cls, alpha, gamma=None):
         """The relaxation at alpha; gamma defaults to its admissible minimum."""
+        _check_real("alpha", alpha)
         if gamma is None:
             gamma = operators.gamma_min(alpha, _beta(alpha))
-        return cls(alpha=alpha, gamma=float(gamma))
+        return cls(alpha=alpha, gamma=gamma)
 
 
 def _penalized(spec: ProblemSpec, X, Y, data) -> float:

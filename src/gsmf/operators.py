@@ -9,6 +9,8 @@ inverse ``(alpha I + beta A* A)^{-1}`` and for the scalars ``rho`` and
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from scipy import sparse
 
@@ -21,6 +23,15 @@ _MISFIT_BLOCK = 1 << 17
 
 class DimensionMismatchError(ValueError):
     """An input matrix or vector does not match the map's shapes."""
+
+
+def _check_size(n):
+    """n as an int, after checking that it is an integer >= 1 (not a bool)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return int(n)
 
 
 def _mul_thin(A, W):
@@ -67,21 +78,13 @@ class LinearMap:
         m = self.misfit(X, Y, b)
         return float(m @ m)
 
-    def misfit_products(self, X, Y, b, misfit=None):
-        """``(G Y, G^T X)`` for the misfit ``G = A*(A(X Y^T) - b)``.
-
-        These are the gradients of ``1/2 ||A(X Y^T) - b||^2`` in X and Y.
-        ``misfit`` may supply ``misfit(X, Y, b)`` when the caller has it.
-        This dense version forms G and is the reference the subclasses
-        must match without any n-by-n work.
-        """
-        G = self.adjoint(self.misfit(X, Y, b) if misfit is None else misfit)
-        return G @ Y, G.T @ X
-
-    def adjoint_t_mul(self, v, W):
-        """``A*(v)^T W`` for an n-by-r W.  This dense version forms
-        ``A*(v)`` and is the reference the subclasses must match."""
-        return self.adjoint(v).T @ W
+    def misfit_operator(self, X, Y, b, misfit=None):
+        """The misfit ``G = A*(A(X Y^T) - b)`` as an operator on n-by-r
+        blocks: ``G @ Y`` and ``G.T @ X`` are the gradients of
+        ``1/2 ||A(X Y^T) - b||^2``.  ``misfit`` may supply ``misfit(X, Y, b)``.
+        This dense version forms G; the subclasses give the same products
+        without any n-by-n work."""
+        return self.adjoint(self.misfit(X, Y, b) if misfit is None else misfit)
 
     def shifted_inverse_apply(self, alpha, beta, W):
         """Apply ``(alpha I + beta A* A)^{-1}`` to ``W``.
@@ -118,9 +121,7 @@ class FullVectorization(LinearMap):
     """Column-major vectorization of an n-by-n matrix; q = n^2."""
 
     def __init__(self, n):
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        self.n = int(n)
+        self.n = _check_size(n)
         self.q = self.n * self.n
 
     def apply(self, U):
@@ -156,12 +157,26 @@ class FullVectorization(LinearMap):
             total += float(np.vdot(R, R))
         return total
 
-    def misfit_products(self, X, Y, b, misfit=None):
-        """Gram identities ``G Y = X (Y^T Y) - M Y`` and
-        ``G^T X = Y (X^T X) - M^T X``, with ``M = A*(b)``; they need no
-        misfit, so a given one is ignored."""
-        M = self.adjoint(b)
-        return X @ (Y.T @ Y) - _mul_thin(M, Y), Y @ (X.T @ X) - _mul_thin(M.T, X)
+    def misfit_operator(self, X, Y, b, misfit=None):
+        """``G = X Y^T - M`` with ``M = A*(b)``, applied through the Gram
+        identity; it needs no misfit, so a given one is ignored."""
+        return _LowRankMinus(X, Y, self.adjoint(b))
+
+
+class _LowRankMinus:
+    """``X Y^T - M`` on n-by-r blocks: ``G @ W = X (Y^T W) - M W``, no n-by-n
+    array.  ``G.T`` is the same form with X and Y swapped and M transposed,
+    so ``G.T @ X`` forms ``X^T X`` with syrk, as the plain expression does."""
+
+    def __init__(self, X, Y, M):
+        self.X, self.Y, self.M = X, Y, M
+
+    def __matmul__(self, W):
+        return self.X @ (self.Y.T @ W) - _mul_thin(self.M, W)
+
+    @property
+    def T(self):
+        return _LowRankMinus(self.Y, self.X, self.M.T)
 
 
 class SymmetricSampling(LinearMap):
@@ -179,9 +194,7 @@ class SymmetricSampling(LinearMap):
     """
 
     def __init__(self, n, omega):
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        self.n = n = int(n)
+        self.n = n = _check_size(n)
         if not isinstance(omega, np.ndarray):
             omega = list(omega)
         if len(omega) == 0:
@@ -251,19 +264,10 @@ class SymmetricSampling(LinearMap):
         vals -= self._check_vector(b)
         return vals
 
-    def misfit_products(self, X, Y, b, misfit=None):
-        """G is |Omega|-sparse with the misfit on Omega, so both products
-        cost O(|Omega| r) and need no n-by-n memory."""
-        G = self._sparse_adjoint(self.misfit(X, Y, b) if misfit is None else misfit)
-        return G @ Y, G.T @ X
-
-    def adjoint_t_mul(self, v, W):
-        """``A*(v)^T W`` from the |Omega|-sparse ``A*(v)``: O(|Omega| r), no
-        n-by-n memory."""
-        return self._sparse_adjoint(v).T @ W
-
-    def _sparse_adjoint(self, v):
-        """``A*(v)`` as a CSC matrix."""
+    def misfit_operator(self, X, Y, b, misfit=None):
+        """G as a CSC matrix, |Omega|-sparse with the misfit on Omega: its
+        products with n-by-r blocks cost O(|Omega| r), no n-by-n memory."""
+        v = self.misfit(X, Y, b) if misfit is None else misfit
         return sparse.csc_array((self._check_vector(v), self._rows, self._colptr),
                                 shape=(self.n, self.n))
 
@@ -309,8 +313,10 @@ def random_symmetric_omega(n, density, rng):
     sorted (column-major), that can be fed directly to
     :class:`SymmetricSampling`.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_size(n)
+    if (isinstance(density, bool) or not isinstance(density, numbers.Real)
+            or not 0 <= density <= 1):
+        raise ValueError(f"density must be a number in [0, 1], got {density!r}")
     # one uniform per upper-triangle entry (i, j >= i), row by row: the stream
     # of a pairwise loop over i <= j.  Each float64 uniform takes its own draw
     # from the generator's stream, so the blocks of rng.random calls need not

@@ -94,6 +94,8 @@ class SolverConfig:
                 raise ConfigError(f"{name} must be positive")
             if value < 0 and name == "max_time_sec":
                 raise ConfigError(f"{name} must be >= 0")
+        if not isinstance(self.audit, (bool, np.bool_)):
+            raise ConfigError(f"audit must be a bool, got {self.audit!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.line_search not in LINE_SEARCHES:
@@ -159,9 +161,9 @@ class _Kernel:
     On the full vectorization (symmetric NMF) it works matrix-free through
     the target M and the Gram cache, never forming X Y^T or Z.  On any other
     map it forms the dense Z once per outer iteration, for Z Y alone; the V
-    block reads ``Z^T U = Y (X^T U) - c A*(m)^T U``, c = beta/(alpha+beta),
-    from the misfit m at (X, Y) through the map's ``adjoint_t_mul``, which
-    costs O(|Omega| r) on the sampling map.  Every n-by-n times n-by-r
+    block reads ``Z^T U = Y (X^T U) - c G^T U``, c = beta/(alpha+beta), from
+    the map's misfit operator G at (X, Y), built once per outer iteration;
+    ``G^T U`` costs O(|Omega| r) on the sampling map.  Every n-by-n times n-by-r
     product (most of the time of an outer iteration) goes through
     ``_mul_thin``, its fastest orientation.
     """
@@ -179,8 +181,9 @@ class _Kernel:
         self._V = self._MV = None
         # sigma-only retries reuse the last U's U^T U and Z^T U
         self._U = self._UtU = self._ZtU = None
-        # the last candidate's misfit off the full map, and that candidate
-        self._misfit = self._misfit_at = self.Z = None
+        # off the full map: the last candidate's misfit and that candidate,
+        # and Z and the misfit operator G at (X, Y)
+        self._misfit = self._misfit_at = self.Z = self.G = None
         self.cache = (GramCache(spec.map.adjoint(spec.b))
                       if isinstance(spec.map, FullVectorization) else None)
         _check_scheme(config.scheme, spec)
@@ -210,7 +213,8 @@ class _Kernel:
             at = self._misfit_at
             if self._misfit is None or at[0] is not X or at[1] is not Y:
                 self._misfit = self.spec.map.misfit(X, Y, self.spec.b)
-            self._misfit_xy = self._misfit
+            self.G = self.spec.map.misfit_operator(X, Y, self.spec.b,
+                                                   misfit=self._misfit)
         self.ynorm2 = spectral_norm_sq(Y)
 
     # -- blocks -------------------------------------------------------------
@@ -227,8 +231,7 @@ class _Kernel:
                 self._MtU = _mul_thin(self.cache.M.T, U)
                 self._ZtU = self.az * (self.Y @ (self.X.T @ U)) + self.bz * self._MtU
             else:
-                GtU = self.spec.map.adjoint_t_mul(self._misfit_xy, U)
-                self._ZtU = self.Y @ (self.X.T @ U) - self.bz * GtU
+                self._ZtU = self.Y @ (self.X.T @ U) - self.bz * (self.G.T @ U)
         return _block(self.config.scheme, self.spec, self.params.alpha, "V",
                       self.spec.phi, self.Y, U, self._UtU, self._ZtU, sigma)
 

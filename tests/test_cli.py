@@ -202,6 +202,10 @@ def test_recipe_validation():
     ("seed", -1, "seed must be >= 0"),
     ("noise_t", math.nan, "noise_t must be finite and >= 0"),
     ("noise_t", math.inf, "noise_t must be finite and >= 0"),
+    ("normalize", "no", "normalize must be a bool, got 'no'"),
+    ("normalize", 0, "normalize must be a bool, got 0"),
+    ("symmetrize_noise", 2, "symmetrize_noise must be a bool, got 2"),
+    ("symmetrize_noise", None, "symmetrize_noise must be a bool, got None"),
 ])
 def test_recipe_rejects_an_unusable_value(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}"):
@@ -235,6 +239,38 @@ def test_recipe_accepts_numpy_integers():
     recipe = DatasetRecipe(source="synthetic", n=np.int64(4), m=np.int32(2),
                            seed=np.uint8(3))
     assert gen_data(recipe).shape == (4, 4)
+
+
+def test_recipe_accepts_numpy_bools():
+    recipe = DatasetRecipe(source="synthetic", n=4, m=2, normalize=np.False_,
+                           noise_t=0.1, symmetrize_noise=np.True_)
+    M = gen_data(recipe)
+    assert np.array_equal(M, M.T) and M.max() != 1.0
+
+
+_MISSING_DATA = {"dataset": {"source": "file", "path": "missing.csv"}}
+_MISSING_OMEGA = {"problem.map": {"kind": "sampling", "omega_csv": "nope.csv"}}
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("solve", _MISSING_DATA, "`dataset.path`: missing.csv not found."),
+    ("gen-data", _MISSING_DATA, "`dataset.path`: missing.csv not found."),
+    ("check", _MISSING_DATA, "`dataset.path`: missing.csv not found."),
+    ("solve", _MISSING_OMEGA, "`problem.map.omega_csv`: nope.csv not found."),
+    ("check", _MISSING_OMEGA, "`problem.map.omega_csv`: nope.csv not found."),
+])
+def test_cli_missing_data_file_is_an_error_naming_its_field(tmp_path, capsys,
+                                                           monkeypatch, command,
+                                                           overrides, message):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, base_config(**overrides))
+    assert main([command, "--config", cfg_path]) == 1
+    out, err = capsys.readouterr()
+    if command == "check":  # the report names the error in each item it fails
+        details = {it["detail"] for it in json.loads(out)["items"] if not it["passed"]}
+        assert details == {f"ConfigFileError: {message}"}
+    else:
+        assert err == f"error: {message}\n"
 
 
 # --------------------------------------------------------------------------

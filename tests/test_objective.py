@@ -65,6 +65,9 @@ def test_problem_spec_rejects_rank_below_one():
 @pytest.mark.parametrize("field, value, message", [
     ("lam", math.nan, "lambda must be finite and >= 0"),
     ("lam", math.inf, "lambda must be finite and >= 0"),
+    ("lam", True, "lambda must be a real number, got True"),
+    ("lam", "1", "lambda must be a real number, got '1'"),
+    ("lam", None, "lambda must be a real number, got None"),
     ("r", 2.5, "r must be an integer"),
     ("r", 2.0, "r must be an integer"),
     ("r", True, "r must be an integer"),
@@ -88,6 +91,27 @@ def test_problem_spec_accepts_numpy_integers():
     spec = ProblemSpec(FullVectorization(3), np.zeros(9), Zero(), Zero(), 1.0,
                        n=np.int32(3), r=np.int64(2))
     assert (spec.n, spec.r) == (3, 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RelaxationParams(0.6, gamma=True), "gamma must be a real number, got True"),
+    (lambda: RelaxationParams("0.6", gamma=0.0), "alpha must be a real number"),
+    (lambda: RelaxationParams.from_alpha(0.6, gamma=True),
+     "gamma must be a real number, got True"),
+    (lambda: RelaxationParams.from_alpha(0.6, gamma="1"),
+     "gamma must be a real number, got '1'"),
+    (lambda: RelaxationParams.from_alpha("0.6"), "alpha must be a real number, got '0.6'"),
+    (lambda: RelaxationParams.from_alpha(True), "alpha must be a real number, got True"),
+])
+def test_relaxation_params_reject_a_non_number(build, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
+
+
+def test_relaxation_params_accept_numpy_numbers():
+    params = RelaxationParams.from_alpha(np.float64(2.0), gamma=np.int64(1))
+    assert params == RelaxationParams.from_alpha(2.0, gamma=1.0)
+    assert type(params.gamma) is float
 
 
 def test_relaxation_params_validation():

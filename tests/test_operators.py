@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,40 @@ def test_dimension_mismatch_reports_shapes():
         amap.apply(np.zeros((2, 2)))
     with pytest.raises(DimensionMismatchError, match="length 9"):
         amap.adjoint(np.zeros(4))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FullVectorization(2.5), "n must be an integer, got 2.5"),
+    (lambda: FullVectorization(2.0), "n must be an integer, got 2.0"),
+    (lambda: FullVectorization(True), "n must be an integer, got True"),
+    (lambda: FullVectorization("3"), "n must be an integer, got '3'"),
+    (lambda: FullVectorization(0), "n must be >= 1, got 0"),
+    (lambda: SymmetricSampling(2.5, OMEGA_2x2), "n must be an integer, got 2.5"),
+    (lambda: SymmetricSampling(0, OMEGA_2x2), "n must be >= 1, got 0"),
+    (lambda: random_symmetric_omega(4.0, 0.5, np.random.default_rng(0)),
+     "n must be an integer, got 4.0"),
+    (lambda: random_symmetric_omega(4, math.nan, np.random.default_rng(0)),
+     "density must be a number in [0, 1], got nan"),
+    (lambda: random_symmetric_omega(4, 2, np.random.default_rng(0)),
+     "density must be a number in [0, 1], got 2"),
+    (lambda: random_symmetric_omega(4, -0.1, np.random.default_rng(0)),
+     "density must be a number in [0, 1], got -0.1"),
+    (lambda: random_symmetric_omega(4, True, np.random.default_rng(0)),
+     "density must be a number in [0, 1], got True"),
+    (lambda: random_symmetric_omega(4, "0.5", np.random.default_rng(0)),
+     "density must be a number in [0, 1], got '0.5'"),
+])
+def test_map_inputs_are_checked_at_the_boundary(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_maps_accept_numpy_integers():
+    assert FullVectorization(np.int64(3)).n == 3
+    assert type(SymmetricSampling(np.int32(2), OMEGA_2x2).n) is int
+    omega = random_symmetric_omega(np.int64(4), np.float64(1.0), np.random.default_rng(0))
+    assert len(omega) == 16
 
 
 def test_omega_validation_rejects_bad_sets():

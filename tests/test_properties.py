@@ -1,8 +1,7 @@
-"""Property tests: each map's misfit, misfit products, product with the
-adjoint and in-place adjoint correction against the dense oracle; the
-adjoint identity, the partial isometry, the relaxation identity
-Theta(X, Y, z*(X, Y)) = F(X, Y), and each map's apply on C-, F- and
-non-contiguous matrices."""
+"""Property tests: each map's misfit, misfit operator and in-place adjoint
+correction against the dense oracle; the adjoint identity, the partial
+isometry, the relaxation identity Theta(X, Y, z*(X, Y)) = F(X, Y), and each
+map's apply on C-, F- and non-contiguous matrices."""
 
 import tracemalloc
 
@@ -21,7 +20,6 @@ from gsmf.objective import (  # noqa: E402
 )
 from gsmf.operators import (  # noqa: E402
     FullVectorization,
-    LinearMap,
     SymmetricSampling,
     random_symmetric_omega,
 )
@@ -39,26 +37,28 @@ def _assert_matches_oracle(amap, rng, r):
     assert misfit.shape == (amap.q,)
     np.testing.assert_allclose(misfit, amap.apply(X @ Y.T) - b,
                                rtol=1e-12, atol=1e-12)
-    got = amap.misfit_products(X, Y, b)
-    want = LinearMap.misfit_products(amap, X, Y, b)
-    for g, w in zip(got, want):
+    G = amap.misfit_operator(X, Y, b)
+    got = G @ Y, G.T @ X
+    dense = amap.adjoint(misfit)  # the oracle: G formed from the adjoint
+    for g, w in zip(got, (dense @ Y, dense.T @ X)):
         assert g.shape == w.shape == (n, r)
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
     # a caller's misfit gives the products of the one the map forms
-    for g, w in zip(amap.misfit_products(X, Y, b, misfit=misfit), got):
+    G = amap.misfit_operator(X, Y, b, misfit=misfit)
+    for g, w in zip((G @ Y, G.T @ X), got):
         assert g.tobytes() == w.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=sizes, r=st.integers(min_value=1, max_value=4), seed=seeds)
-def test_full_map_misfit_products_match_dense_oracle(n, r, seed):
+def test_full_map_misfit_operator_matches_dense_oracle(n, r, seed):
     _assert_matches_oracle(FullVectorization(n), np.random.default_rng(seed), r)
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=sizes, r=st.integers(min_value=1, max_value=4), seed=seeds,
        density=st.floats(min_value=0.05, max_value=1.0))
-def test_sampling_map_misfit_products_match_dense_oracle(n, r, seed, density):
+def test_sampling_map_misfit_operator_matches_dense_oracle(n, r, seed, density):
     rng = np.random.default_rng(seed)
     amap = SymmetricSampling(n, random_symmetric_omega(n, density, rng))
     _assert_matches_oracle(amap, rng, r)
@@ -178,27 +178,40 @@ def test_theta_at_z_star_equals_objective(kind, n, r, seed, density, alpha, lam)
 @settings(max_examples=60, deadline=None)
 @given(kind=maps, n=sizes, r=st.integers(min_value=1, max_value=4), seed=seeds,
        density=densities)
-def test_adjoint_t_mul_matches_dense_oracle(kind, n, r, seed, density):
+def test_misfit_operator_times_any_block_matches_dense_oracle(kind, n, r, seed,
+                                                              density):
+    # G and G^T on blocks other than the factors, against G formed densely
+    # from the adjoint of the misfit
     rng = np.random.default_rng(seed)
     amap = _map(kind, n, density, rng)
-    v, W = rng.standard_normal(amap.q), rng.standard_normal((n, r))
-    got = amap.adjoint_t_mul(v, W)
-    assert got.shape == (n, r)
-    np.testing.assert_allclose(got, amap.adjoint(v).T @ W, rtol=1e-12, atol=1e-12)
+    X, Y = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+    b, W = rng.standard_normal(amap.q), rng.standard_normal((n, r))
+    G = amap.misfit_operator(X, Y, b)
+    dense = amap.adjoint(amap.apply(X @ Y.T) - b)
+    for got, want in ((G @ W, dense @ W), (G.T @ W, dense.T @ W)):
+        assert got.shape == (n, r)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def test_sampling_adjoint_t_mul_allocates_no_n_by_n_array():
+@pytest.mark.parametrize("kind", ["full", "sampling"])
+def test_misfit_operator_allocates_no_n_by_n_array(kind):
     n = 1000
     rng = np.random.default_rng(3)
-    amap = SymmetricSampling(n, random_symmetric_omega(n, 0.01, rng))
-    v, W = rng.standard_normal(amap.q), rng.standard_normal((n, 10))
+    amap = _map(kind, n, 0.01, rng)
+    X, Y, W = (rng.standard_normal((n, 10)) for _ in range(3))
+    b = rng.standard_normal(amap.q)
+    # as the solver does; the sampling misfit's row gathers are O(|Omega| r),
+    # on the order of the bound at this density, and the full map reads none
+    misfit = amap.misfit(X, Y, b) if kind == "sampling" else None
     tracemalloc.start()
     try:
-        amap.adjoint_t_mul(v, W)
+        G = amap.misfit_operator(X, Y, b, misfit=misfit)
+        products = G @ W, G.T @ W
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.05 * 8 * n * n, f"adjoint_t_mul peaked at {peak} bytes"
+    assert peak < 0.05 * 8 * n * n, f"the misfit operator peaked at {peak} bytes"
+    assert all(P.shape == (n, 10) for P in products)
 
 
 @settings(max_examples=60, deadline=None)

@@ -78,6 +78,17 @@ def test_config_rejects_a_non_integer_count(field, value):
         SolverConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, 1.0, None])
+def test_config_rejects_a_non_bool_audit(value):
+    # a truthy non-bool would turn the audit on, and every record keeps X, Y
+    with pytest.raises(ConfigError, match=f"^audit must be a bool, got {value!r}$"):
+        SolverConfig(audit=value)
+
+
+def test_config_accepts_a_numpy_bool_audit():
+    assert SolverConfig(audit=np.True_).audit and not SolverConfig(audit=np.False_).audit
+
+
 @pytest.mark.parametrize("field", ["window", "consec_required", "max_iters", "seed"])
 def test_config_accepts_numpy_integers(field):
     assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
@@ -642,8 +653,8 @@ def test_shared_kernel_reuse_matches_fresh_steps(scheme, alpha, mu_min, backtrac
 @pytest.mark.parametrize("sampling", [False, True])
 def test_sigma_only_retries_reuse_the_u_product(monkeypatch, sampling):
     # once mu is at its cap only sigma escalates and U stays the same, so
-    # update_v forms M^T U (or A*(m)^T U on the sampling map) once per U,
-    # not once per retry
+    # update_v forms M^T U (or G^T U on the sampling map, for the misfit
+    # operator G) once per U, not once per retry
     from gsmf import operators, solver as solver_mod
     from gsmf.data import DatasetRecipe, gen_data
     from gsmf.objective import ProblemSpec
@@ -663,8 +674,6 @@ def test_sigma_only_retries_reuse_the_u_product(monkeypatch, sampling):
 
     kernel = solver_mod._Kernel
     update_u, update_v = kernel.update_u, kernel.update_v
-    owner, name = (spec.map, "adjoint_t_mul") if sampling else (solver_mod, "_mul_thin")
-    product = getattr(owner, name)
     us, v_calls, u_products = [], [0], [0]
 
     def spy_update_u(self, mu):
@@ -675,13 +684,38 @@ def test_sigma_only_retries_reuse_the_u_product(monkeypatch, sampling):
         v_calls[0] += 1
         return update_v(self, U, sigma)
 
-    def spy_product(operand, W):
-        u_products[0] += any(W is U for U in us)
-        return product(operand, W)
+    if sampling:
+        class SpyG:
+            """The misfit operator G, counting ``G.T @ U`` for the block's U."""
 
+            def __init__(self, G, transposed=False):
+                self.G, self.transposed = G, transposed
+
+            def __matmul__(self, W):
+                u_products[0] += self.transposed and any(W is U for U in us)
+                return self.G @ W
+
+            @property
+            def T(self):
+                return SpyG(self.G.T, True)
+
+        begin_outer = kernel.begin_outer
+
+        def spy_begin_outer(self, X, Y):
+            begin_outer(self, X, Y)
+            self.G = SpyG(self.G)
+
+        monkeypatch.setattr(kernel, "begin_outer", spy_begin_outer)
+    else:
+        mul_thin = solver_mod._mul_thin
+
+        def spy_mul_thin(operand, W):
+            u_products[0] += any(W is U for U in us)
+            return mul_thin(operand, W)
+
+        monkeypatch.setattr(solver_mod, "_mul_thin", spy_mul_thin)
     monkeypatch.setattr(kernel, "update_u", spy_update_u)
     monkeypatch.setattr(kernel, "update_v", spy_update_v)
-    monkeypatch.setattr(owner, name, spy_product)
     reused = solve(spec, params, config)
     assert v_calls[0] > len(us)  # some retries escalated sigma alone
     assert u_products[0] == len(us)
@@ -724,7 +758,7 @@ def test_sampling_solve_forms_one_misfit_per_candidate(monkeypatch):
     inner = sum(rec.inner_iterations for rec in kept.records)
     assert inner > len(kept.records)  # some candidates were rejected
     # one per candidate, one for the start's objective and one for the first
-    # step's Z^T U; later steps reuse the accepted candidate's
+    # step's misfit operator; later steps reuse the accepted candidate's
     assert calls[0] == inner + 2
 
     gradients = solver_mod._Kernel.gradients
@@ -737,6 +771,32 @@ def test_sampling_solve_forms_one_misfit_per_candidate(monkeypatch):
     fresh = solve(spec, params, config)
     assert kept.records == fresh.records
     assert np.array_equal(kept.X, fresh.X) and np.array_equal(kept.Y, fresh.Y)
+
+
+def test_sampling_solve_builds_the_misfit_operator_twice_per_iteration(monkeypatch):
+    # begin_outer builds G at (X, Y) for every Z^T U of the step, however
+    # many U the backtracking tries, and the residual builds it at (U, V)
+    from gsmf.solver import _Kernel
+
+    spec = _sampling_spec(NonnegIndicator())
+    params = RelaxationParams.from_alpha(0.6)
+    config = SolverConfig(scheme="prox_linear", max_iters=30, seed=0)
+    misfit_operator, update_u = spec.map.misfit_operator, _Kernel.update_u
+    builds, us = [0], [0]
+
+    def counting_misfit_operator(*args, **kwargs):
+        builds[0] += 1
+        return misfit_operator(*args, **kwargs)
+
+    def counting_update_u(self, mu):
+        us[0] += 1
+        return update_u(self, mu)
+
+    monkeypatch.setattr(spec.map, "misfit_operator", counting_misfit_operator)
+    monkeypatch.setattr(_Kernel, "update_u", counting_update_u)
+    result = solve(spec, params, config)
+    assert us[0] > len(result.records)  # some steps tried more than one U
+    assert builds[0] == 2 * len(result.records)
 
 
 def _sampling_spec(reg):
