@@ -118,10 +118,11 @@ def build_data(cfg, seed_override=None):
 
 
 def _load(read, arg, field):
-    """``read(arg)``, with an unreadable file made an error naming ``field``."""
+    """``read(arg)``, with a file that cannot be opened or parsed made an
+    error naming ``field``; any other error of ``read`` passes unchanged."""
     try:
         return read(arg)
-    except OSError as exc:
+    except (OSError, data.MatrixFileError) as exc:
         raise ConfigFileError(f"`{field}`: {exc}") from exc
 
 

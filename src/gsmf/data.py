@@ -15,7 +15,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import io as spio
 
 log = logging.getLogger("gsmf")
 
@@ -63,20 +62,31 @@ class DatasetRecipe:
                              f"must be 0, got n={self.n}, m={self.m}")
 
 
+class MatrixFileError(ValueError):
+    """A matrix file that opens but does not parse; the message names the file."""
+
+
 def load_matrix(path):
     """Read a dense matrix from a Matrix Market (.mtx) or CSV file."""
     p = str(path)
-    if p.endswith((".mtx", ".mtx.gz", ".mm")):
-        M = spio.mmread(p)
-        if hasattr(M, "toarray"):
-            M = M.toarray()
-        return np.asarray(M, dtype=float)
-    return np.loadtxt(p, delimiter=",", dtype=float, ndmin=2)
+    try:
+        if p.endswith((".mtx", ".mtx.gz", ".mm")):
+            from scipy import io as spio  # loaded by Matrix Market I/O alone
+
+            M = spio.mmread(p)
+            if hasattr(M, "toarray"):
+                M = M.toarray()
+            return np.asarray(M, dtype=float)
+        return np.loadtxt(p, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:
+        raise MatrixFileError(f"{p}: {exc}") from exc
 
 
 def save_matrix(path, M):
     p = str(path)
     if p.endswith((".mtx", ".mm")):
+        from scipy import io as spio
+
         spio.mmwrite(p, np.asarray(M))
     else:
         np.savetxt(p, np.asarray(M), delimiter=",")

@@ -38,15 +38,17 @@ def spectral_norm_sq(A):
     return float(np.linalg.eigvalsh(A.T @ A)[-1])
 
 
-def gradients(spec: ProblemSpec, X, Y, misfit=None):
+def gradients(spec: ProblemSpec, X, Y, G=None):
     """Partial gradients of the smooth part of the objective.
 
     ``G Y`` and ``G^T X`` come from the map's misfit operator G: Gram
     products on the full map, sparse products on the sampling map, never
-    an n-by-n matrix.  ``misfit`` may supply ``spec.map.misfit(X, Y, spec.b)``.
+    an n-by-n matrix.  ``G`` may supply
+    ``spec.map.misfit_operator(X, Y, spec.b)``.
     """
     X, Y = spec.check_shapes(X, Y)
-    G = spec.map.misfit_operator(X, Y, spec.b, misfit=misfit)
+    if G is None:
+        G = spec.map.misfit_operator(X, Y, spec.b)
     D = spec.lam * (X - Y)
     return G @ Y + D, G.T @ X - D
 

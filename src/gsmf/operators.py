@@ -12,7 +12,8 @@ from __future__ import annotations
 import numbers
 
 import numpy as np
-from scipy import sparse
+
+from .data import MatrixFileError
 
 
 # uniforms per rng.random call of random_symmetric_omega (512 KB of float64)
@@ -188,8 +189,9 @@ class SymmetricSampling(LinearMap):
     whenever it contains (i, j), hold no duplicates, and be sorted
     lexicographically with the column index taking priority over the row
     index.  A set violating any of these is rejected rather than repaired.
-    The map keeps Omega as index arrays: the 0-based rows and columns for the
-    factor gathers of ``misfit``, and the C-order flat index ``i n + j`` for
+    The map keeps Omega as index arrays: the 0-based rows and the pairs per
+    column for the factor reads of ``misfit``, the 0-based columns for a
+    non-C-order ``apply``, and the C-order flat index ``i n + j`` for
     ``apply``, ``adjoint`` and ``subtract_adjoint``.
     """
 
@@ -233,8 +235,14 @@ class SymmetricSampling(LinearMap):
             raise ValueError(f"Omega is not symmetric: ({i},{j}) without ({j},{i})")
         self.q = key.size
         self._rows, self._cols, self._flat = rows, cols, flat
-        # Omega is sorted column first, so it is already in CSC order
+        # Omega is sorted column first, so it is already in CSC order, and
+        # column j's entries are the next counts[j] pairs
         self._colptr = np.searchsorted(cols, np.arange(n + 1))
+        self._counts = np.diff(self._colptr)
+        # scipy.sparse is loaded by this map alone, here in set-up rather
+        # than in a solve step: a full-map process never loads it
+        from scipy.sparse import csc_array
+        self._csc_array = csc_array
 
     def apply(self, U):
         """The entries of U on Omega: ``take`` on the flat index for a
@@ -258,9 +266,11 @@ class SymmetricSampling(LinearMap):
         Z.put(self._flat, vals)
 
     def misfit(self, X, Y, b):
-        """``<X_i, Y_j> - b`` on Omega: O(|Omega| r), no n-by-n memory."""
+        """``<X_i, Y_j> - b`` on Omega: O(|Omega| r), no n-by-n memory.  Y's
+        rows come in column order, so they are read by ``repeat``, not by a
+        random gather."""
         vals = np.einsum("ij,ij->i", X.take(self._rows, axis=0),
-                         Y.take(self._cols, axis=0))
+                         np.repeat(Y, self._counts, axis=0))
         vals -= self._check_vector(b)
         return vals
 
@@ -268,8 +278,8 @@ class SymmetricSampling(LinearMap):
         """G as a CSC matrix, |Omega|-sparse with the misfit on Omega: its
         products with n-by-r blocks cost O(|Omega| r), no n-by-n memory."""
         v = self.misfit(X, Y, b) if misfit is None else misfit
-        return sparse.csc_array((self._check_vector(v), self._rows, self._colptr),
-                                shape=(self.n, self.n))
+        return self._csc_array((self._check_vector(v), self._rows, self._colptr),
+                               shape=(self.n, self.n))
 
 
 def _first_malformed(omega):
@@ -303,7 +313,10 @@ def load_omega_csv(path):
     """Read Omega from a two-column CSV of 1-based (row, col) pairs as a
     (k, 2) float array; ``#`` comments and blank lines are skipped, and
     :class:`SymmetricSampling` rejects a non-integral entry."""
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise MatrixFileError(f"{path}: {exc}") from exc
 
 
 def random_symmetric_omega(n, density, rng):

@@ -162,7 +162,9 @@ class _Kernel:
     the target M and the Gram cache, never forming X Y^T or Z.  On any other
     map it forms the dense Z once per outer iteration, for Z Y alone; the V
     block reads ``Z^T U = Y (X^T U) - c G^T U``, c = beta/(alpha+beta), from
-    the map's misfit operator G at (X, Y), built once per outer iteration;
+    the map's misfit operator G at (X, Y), built once per accepted pair (by
+    the residual, which needs G there too) and reused by the next outer
+    iteration;
     ``G^T U`` costs O(|Omega| r) on the sampling map.  Every n-by-n times n-by-r
     product (most of the time of an outer iteration) goes through
     ``_mul_thin``, its fastest orientation.
@@ -181,9 +183,9 @@ class _Kernel:
         self._V = self._MV = None
         # sigma-only retries reuse the last U's U^T U and Z^T U
         self._U = self._UtU = self._ZtU = None
-        # off the full map: the last candidate's misfit and that candidate,
-        # and Z and the misfit operator G at (X, Y)
-        self._misfit = self._misfit_at = self.Z = self.G = None
+        # off the full map: the last candidate's misfit, Z at (X, Y), and
+        # the misfit operator G with the pair it was built at
+        self._misfit = self.Z = self.G = self._G_at = None
         self.cache = (GramCache(spec.map.adjoint(spec.b))
                       if isinstance(spec.map, FullVectorization) else None)
         _check_scheme(config.scheme, spec)
@@ -207,14 +209,12 @@ class _Kernel:
             self.Z = None
             self.Z = z_star(self.spec, self.params, X, Y)
             self.ZY = _mul_thin(self.Z, Y)
-            # the misfit at (X, Y) is the accepted candidate's, which the
-            # objective formed last; only the first step forms it, after Z
-            # for the same reason
-            at = self._misfit_at
-            if self._misfit is None or at[0] is not X or at[1] is not Y:
-                self._misfit = self.spec.map.misfit(X, Y, self.spec.b)
-            self.G = self.spec.map.misfit_operator(X, Y, self.spec.b,
-                                                   misfit=self._misfit)
+            # G at (X, Y) is the one gradients built for the accepted pair;
+            # only the first step builds it, after Z for the same reason
+            at = self._G_at
+            if at is None or at[0] is not X or at[1] is not Y:
+                self.G = self.spec.map.misfit_operator(X, Y, self.spec.b)
+                self._G_at = X, Y
         self.ynorm2 = spectral_norm_sq(Y)
 
     # -- blocks -------------------------------------------------------------
@@ -243,11 +243,15 @@ class _Kernel:
         On the matrix-free path ``M^T U`` comes from ``update_v`` and the
         Gram matrices from the cache :meth:`objective` refreshed for
         (U, V); the one new product ``M V`` is kept for the next
-        :meth:`begin_outer`.  Off the full map the map forms them from the
-        misfit :meth:`objective` formed for (U, V).
+        :meth:`begin_outer`.  Off the full map they come from the misfit
+        operator G built from the misfit :meth:`objective` formed for
+        (U, V), which the next :meth:`begin_outer` reuses.
         """
         if self.cache is None:
-            return diagnostics.gradients(self.spec, U, V, misfit=self._misfit)
+            self.G = self.spec.map.misfit_operator(U, V, self.spec.b,
+                                                   misfit=self._misfit)
+            self._G_at = U, V
+            return diagnostics.gradients(self.spec, U, V, G=self.G)
         cache = self.cache
         self._V, self._MV = V, _mul_thin(cache.M, V)
         D = self.spec.lam * (U - V)
@@ -275,10 +279,9 @@ class _Kernel:
                 return val
             val = f_lambda(self.spec, U, V)
         else:
-            # kept for the residual's products in gradients, and for the next
-            # begin_outer if (U, V) is accepted
+            # kept for the residual's misfit operator in gradients, if
+            # (U, V) is accepted
             self._misfit = self.spec.map.misfit(U, V, self.spec.b)
-            self._misfit_at = U, V
             val = f_lambda(self.spec, U, V, misfit=self._misfit)
         self.f_err = _roundoff_bound(val, self.spec.bnorm)
         return val

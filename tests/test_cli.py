@@ -273,6 +273,51 @@ def test_cli_missing_data_file_is_an_error_naming_its_field(tmp_path, capsys,
         assert err == f"error: {message}\n"
 
 
+_BAD_DATA = {"dataset": {"source": "file", "path": "bad.csv"}}
+_BAD_MTX = {"dataset": {"source": "file", "path": "bad.mtx"}}
+_BAD_OMEGA = {"problem.map": {"kind": "sampling", "omega_csv": "bad.csv"}}
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("solve", _BAD_DATA, "`dataset.path`: bad.csv: could not convert string 'abc'"),
+    ("gen-data", _BAD_DATA, "`dataset.path`: bad.csv: could not convert string 'abc'"),
+    ("check", _BAD_DATA, "`dataset.path`: bad.csv: could not convert string 'abc'"),
+    ("solve", _BAD_MTX, "`dataset.path`: bad.mtx: "),
+    ("solve", _BAD_OMEGA,
+     "`problem.map.omega_csv`: bad.csv: could not convert string 'abc'"),
+    ("check", _BAD_OMEGA,
+     "`problem.map.omega_csv`: bad.csv: could not convert string 'abc'"),
+])
+def test_cli_malformed_data_file_is_an_error_naming_its_field(tmp_path, capsys,
+                                                             monkeypatch, command,
+                                                             overrides, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("abc,3\n")
+    (tmp_path / "bad.mtx").write_text("not a matrix\n")
+    cfg_path = write_config(tmp_path, base_config(**overrides))
+    assert main([command, "--config", cfg_path]) == 1
+    out, err = capsys.readouterr()
+    if command == "check":
+        details = {it["detail"] for it in json.loads(out)["items"] if not it["passed"]}
+        assert len(details) == 1
+        assert details.pop().startswith(f"ConfigFileError: {message}")
+    else:
+        assert err.startswith(f"error: {message}")
+
+
+def test_cli_data_error_after_the_file_read_is_not_labelled(tmp_path, capsys,
+                                                           monkeypatch):
+    # only the read is labelled with dataset.path: a file that parses but
+    # cannot be normalized keeps gen_data's own message
+    monkeypatch.chdir(tmp_path)
+    save_matrix(tmp_path / "zero.csv", np.zeros((3, 4)))
+    cfg_path = write_config(tmp_path, base_config(
+        dataset={"source": "file", "path": "zero.csv"}))
+    assert main(["solve", "--config", cfg_path]) == 1
+    assert capsys.readouterr().err == (
+        "error: cannot normalize: max entry of N^T N is not positive\n")
+
+
 # --------------------------------------------------------------------------
 # gen-data subcommand
 # --------------------------------------------------------------------------

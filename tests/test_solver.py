@@ -773,9 +773,10 @@ def test_sampling_solve_forms_one_misfit_per_candidate(monkeypatch):
     assert np.array_equal(kept.X, fresh.X) and np.array_equal(kept.Y, fresh.Y)
 
 
-def test_sampling_solve_builds_the_misfit_operator_twice_per_iteration(monkeypatch):
-    # begin_outer builds G at (X, Y) for every Z^T U of the step, however
-    # many U the backtracking tries, and the residual builds it at (U, V)
+def test_sampling_solve_builds_the_misfit_operator_once_per_accepted_pair(monkeypatch):
+    # G serves every Z^T U of a step, however many U the backtracking
+    # tries: the first step builds it at the start pair, and the residual
+    # builds it at each accepted (U, V), which the next step reuses
     from gsmf.solver import _Kernel
 
     spec = _sampling_spec(NonnegIndicator())
@@ -796,7 +797,7 @@ def test_sampling_solve_builds_the_misfit_operator_twice_per_iteration(monkeypat
     monkeypatch.setattr(_Kernel, "update_u", counting_update_u)
     result = solve(spec, params, config)
     assert us[0] > len(result.records)  # some steps tried more than one U
-    assert builds[0] == 2 * len(result.records)
+    assert builds[0] == len(result.records) + 1
 
 
 def _sampling_spec(reg):
