@@ -49,6 +49,8 @@ class DatasetRecipe:
         for name in ("normalize", "symmetrize_noise"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if isinstance(self.noise_t, bool) or not isinstance(self.noise_t, numbers.Real):
+            raise ValueError(f"noise_t must be a real number, got {self.noise_t!r}")
         if not (math.isfinite(self.noise_t) and self.noise_t >= 0):
             raise ValueError(f"noise_t must be finite and >= 0, got {self.noise_t}")
         if self.source == "synthetic" and (self.n < 1 or self.m < 1):

@@ -24,9 +24,11 @@ class DiagnosticsReport:
     stationarity_residual: float
     sym_gap: float
     penalty_threshold: float
-    penalty_satisfied: bool
+    # None: the threshold could not be computed (it is then NaN)
+    penalty_satisfied: bool | None
     relaxation_gap: float
-    descent_violations: int
+    # None: the run has no audit snapshots, or no config was given
+    descent_violations: int | None
 
     def to_dict(self):
         return asdict(self)
@@ -111,7 +113,7 @@ def exact_penalty_threshold(spec: ProblemSpec, X, Y):
         raise ValueError("A*(b) must be symmetric for the exact-penalty threshold")
     X, Y = spec.check_shapes(X, Y)
     op_norm = _matrix_spectral_norm(spec.map.gram_apply(X @ Y.T))
-    eig_min = float(np.linalg.eigvalsh(0.5 * (Ab + Ab.T))[0])
+    eig_min = float(np.linalg.eigvalsh(Ab)[0])
     threshold = 0.5 * (op_norm + spec.psi.kappa - eig_min)
     return threshold, spec.lam > threshold
 
@@ -133,12 +135,14 @@ def scheme_inclusion_residual(spec: ProblemSpec, params: RelaxationParams,
     The hierarchical scheme is checked column by column in sweep order,
     holding not-yet-updated columns at their previous values.
     """
+    # solver imports this module, so its scheme check is imported on call
+    from .solver import _check_scheme
+
+    _check_scheme(scheme, spec)
     a, lam = params.alpha, spec.lam
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
+    X, Y = spec.check_shapes(X, Y)
+    U, V = spec.check_shapes(U, V, ("U", "V"))
+    Z = np.asarray(spec.map._check_matrix(Z, "Z"), dtype=float)
 
     def residual_full(reg, scheme, W, prev, other, Zmat, step):
         Go = other.T @ other
@@ -223,16 +227,17 @@ def descent_audit(result, spec: ProblemSpec, params: RelaxationParams,
 def report(spec: ProblemSpec, params: RelaxationParams, result,
            config=None) -> DiagnosticsReport:
     """Aggregate the certificates for a finished run."""
-    X, Y = result.X, result.Y
+    # checked first: a misshapen factor is an error, not a missing threshold
+    X, Y = spec.check_shapes(result.X, result.Y)
     try:
         threshold, satisfied = exact_penalty_threshold(spec, X, Y)
     except ValueError as exc:
         log.warning("exact-penalty threshold not available: %s", exc)
-        threshold, satisfied = math.nan, False
+        threshold, satisfied = math.nan, None
     if config is not None and result.records and result.records[0].x is not None:
         violations = descent_audit(result, spec, params, config)
     else:
-        violations = 0
+        violations = None
     return DiagnosticsReport(
         stationarity_residual=stationarity_residual(spec, X, Y),
         sym_gap=symmetry_gap(X, Y),

@@ -67,12 +67,13 @@ class ProblemSpec:
         """||b||, the scale of the relative objective and roundoff bounds."""
         return float(np.linalg.norm(self.b))
 
-    def check_shapes(self, X, Y):
+    def check_shapes(self, X, Y, names=("X", "Y")):
         """The factors as float arrays, after checking that both are n-by-r.
 
-        The objective and diagnostics functions read the factors through
-        this, so integer factors give the values of float ones."""
-        for name, M in (("X", X), ("Y", Y)):
+        Every public function that takes factor blocks reads them through
+        this, so integer factors give the values of float ones; ``names``
+        are the blocks' names in the caller's signature, for the error."""
+        for name, M in zip(names, (X, Y)):
             if np.shape(M) != (self.n, self.r):
                 raise ValueError(
                     f"{name} has shape {np.shape(M)}, expected ({self.n}, {self.r})"
@@ -154,9 +155,7 @@ def f_lambda(spec: ProblemSpec, X, Y, misfit=None) -> float:
 def theta(spec: ProblemSpec, params: RelaxationParams, X, Y, Z) -> float:
     """Potential: the objective with the bilinear term split through Z."""
     X, Y = spec.check_shapes(X, Y)
-    Z = np.asarray(Z)
-    if Z.shape != (spec.n, spec.n):
-        raise ValueError(f"Z has shape {Z.shape}, expected ({spec.n}, {spec.n})")
+    Z = spec.map._check_matrix(Z, "Z")
 
     def data():
         S = X @ Y.T - Z

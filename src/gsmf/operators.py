@@ -44,10 +44,10 @@ def _mul_thin(A, W):
 class LinearMap:
     """Base class for linear maps R^{n x n} -> R^q with A A* = I_q.
 
-    Subclasses implement ``apply`` and ``adjoint``; everything else is
-    derived.  Instances are immutable after construction.  The misfit
-    methods take float factors X, Y: the functions of ``objective`` and
-    ``diagnostics`` cast them once, in ``ProblemSpec.check_shapes``.
+    Subclasses implement ``apply``, ``adjoint`` and ``misfit_operator``;
+    everything else is derived.  Instances are immutable after construction.
+    The misfit methods take float factors X, Y: the public functions cast
+    them once, in ``ProblemSpec.check_shapes``.
     """
 
     n: int
@@ -82,10 +82,8 @@ class LinearMap:
     def misfit_operator(self, X, Y, b, misfit=None):
         """The misfit ``G = A*(A(X Y^T) - b)`` as an operator on n-by-r
         blocks: ``G @ Y`` and ``G.T @ X`` are the gradients of
-        ``1/2 ||A(X Y^T) - b||^2``.  ``misfit`` may supply ``misfit(X, Y, b)``.
-        This dense version forms G; the subclasses give the same products
-        without any n-by-n work."""
-        return self.adjoint(self.misfit(X, Y, b) if misfit is None else misfit)
+        ``1/2 ||A(X Y^T) - b||^2``.  ``misfit`` may supply ``misfit(X, Y, b)``."""
+        raise NotImplementedError
 
     def shifted_inverse_apply(self, alpha, beta, W):
         """Apply ``(alpha I + beta A* A)^{-1}`` to ``W``.
@@ -98,14 +96,14 @@ class LinearMap:
                 "alpha * (alpha + beta) must be nonzero, got "
                 f"alpha={alpha}, beta={beta}"
             )
-        self._check_matrix(W)
+        self._check_matrix(W, "W")
         return W / alpha - (beta / (alpha * (alpha + beta))) * self.gram_apply(W)
 
-    def _check_matrix(self, U):
+    def _check_matrix(self, U, name="U"):
         U = np.asarray(U)
         if U.shape != (self.n, self.n):
             raise DimensionMismatchError(
-                f"expected a {self.n}x{self.n} matrix, got shape {U.shape}"
+                f"{name} has shape {U.shape}, expected a {self.n}x{self.n} matrix"
             )
         return U
 
@@ -134,13 +132,6 @@ class FullVectorization(LinearMap):
     def adjoint(self, v):
         v = self._check_vector(v)
         return v.reshape((self.n, self.n), order="F")
-
-    def misfit(self, X, Y, b):
-        """``vec_F(X Y^T) - b``, read as ``vec_C(Y X^T) - b`` without a
-        transposing copy of the n-by-n product."""
-        R = (Y @ X.T).reshape(-1)
-        R -= self._check_vector(b)
-        return R
 
     def misfit_norm_sq(self, X, Y, b):
         """``||Y X^T - B||_F^2`` with ``B = b.reshape(n, n)`` (C order, so B is

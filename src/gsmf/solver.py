@@ -352,8 +352,8 @@ def update_u(scheme, spec, params, X_k, Y_k, Z_k, mu):
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     _check_scheme(scheme, spec)
-    X, Y = (np.asarray(W, dtype=float) for W in (X_k, Y_k))
-    ZY = _mul_thin(spec.map._check_matrix(np.asarray(Z_k, dtype=float)), Y)
+    X, Y = spec.check_shapes(X_k, Y_k, ("X_k", "Y_k"))
+    ZY = _mul_thin(np.asarray(spec.map._check_matrix(Z_k, "Z_k"), dtype=float), Y)
     return _block(scheme, spec, params.alpha, "U", spec.psi, X, Y, Y.T @ Y, ZY, mu)
 
 
@@ -362,8 +362,8 @@ def update_v(scheme, spec, params, U, Y_k, Z_k, sigma):
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     _check_scheme(scheme, spec)
-    U, Y = (np.asarray(W, dtype=float) for W in (U, Y_k))
-    ZtU = _mul_thin(spec.map._check_matrix(np.asarray(Z_k, dtype=float)).T, U)
+    U, Y = spec.check_shapes(U, Y_k, ("U", "Y_k"))
+    ZtU = _mul_thin(np.asarray(spec.map._check_matrix(Z_k, "Z_k"), dtype=float).T, U)
     return _block(scheme, spec, params.alpha, "V", spec.phi, Y, U, U.T @ U, ZtU, sigma)
 
 
@@ -375,8 +375,7 @@ def init_state(spec: ProblemSpec, config: SolverConfig, X0=None, Y0=None):
         X0 = rng.uniform(size=(spec.n, spec.r))
     if Y0 is None:
         Y0 = rng.uniform(size=(spec.n, spec.r))
-    X0 = np.asarray(X0, dtype=float)
-    Y0 = np.asarray(Y0, dtype=float)
+    X0, Y0 = spec.check_shapes(X0, Y0, ("X0", "Y0"))
     for name, W in (("X0", X0), ("Y0", Y0)):
         if not np.all(np.isfinite(W)):
             raise ValueError(f"{name} has non-finite entries")

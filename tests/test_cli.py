@@ -202,6 +202,9 @@ def test_recipe_validation():
     ("seed", -1, "seed must be >= 0"),
     ("noise_t", math.nan, "noise_t must be finite and >= 0"),
     ("noise_t", math.inf, "noise_t must be finite and >= 0"),
+    ("noise_t", True, "noise_t must be a real number, got True"),
+    ("noise_t", "0.1", "noise_t must be a real number, got '0.1'"),
+    ("noise_t", None, "noise_t must be a real number, got None"),
     ("normalize", "no", "normalize must be a bool, got 'no'"),
     ("normalize", 0, "normalize must be a bool, got 0"),
     ("symmetrize_noise", 2, "symmetrize_noise must be a bool, got 2"),

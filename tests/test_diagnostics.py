@@ -24,9 +24,23 @@ from gsmf.objective import (
     theta,
     z_star,
 )
-from gsmf.operators import FullVectorization, SymmetricSampling, random_symmetric_omega
+from gsmf.operators import (
+    DimensionMismatchError,
+    FullVectorization,
+    SymmetricSampling,
+    random_symmetric_omega,
+)
 from gsmf.regularizers import L1, NonnegIndicator, Zero
-from gsmf.solver import SolveResult, SolverConfig, init_state, solve, step, update_u, update_v
+from gsmf.solver import (
+    ConfigError,
+    SolveResult,
+    SolverConfig,
+    init_state,
+    solve,
+    step,
+    update_u,
+    update_v,
+)
 
 
 def planted(n, r, seed, lam=1.0):
@@ -229,6 +243,19 @@ def test_report_aggregates_all_certificates():
     assert math.isfinite(d["penalty_threshold"])
 
 
+def test_report_leaves_the_descent_audit_it_did_not_run_as_none():
+    spec, _ = planted(10, 2, 15)
+    params = RelaxationParams.from_alpha(0.6)
+    config = SolverConfig(audit=True, max_iters=5)
+    audited = solve(spec, params, config)
+    plain = solve(spec, params, SolverConfig(max_iters=5))
+    # no config, or no snapshots: the audit did not run
+    assert report(spec, params, plain).descent_violations is None
+    assert report(spec, params, audited).descent_violations is None
+    assert report(spec, params, plain, config=config).descent_violations is None
+    assert report(spec, params, audited, config=config).descent_violations == 0
+
+
 def test_residual_decreases_along_iterates():
     spec, _ = planted(20, 3, 16)
     params = RelaxationParams.from_alpha(0.6)
@@ -280,7 +307,7 @@ def test_report_logs_why_penalty_threshold_is_missing(caplog):
     result = solve(spec, params, SolverConfig(max_iters=5))
     with caplog.at_level(logging.WARNING, logger="gsmf"):
         rep = report(spec, params, result)
-    assert math.isnan(rep.penalty_threshold) and not rep.penalty_satisfied
+    assert math.isnan(rep.penalty_threshold) and rep.penalty_satisfied is None
     warnings = [r for r in caplog.records if r.name == "gsmf"]
     assert len(warnings) == 1
     assert warnings[0].levelno == logging.WARNING
@@ -358,3 +385,82 @@ def test_integer_factors_give_the_value_of_float_factors(kind, name):
     for g, w in zip(got, want):
         assert g.dtype == np.float64
         assert np.array_equal(g, w, equal_nan=True)
+
+
+# --------------------------------------------------------------------------
+# misshapen inputs
+# --------------------------------------------------------------------------
+
+
+def _spec_8x2(kind):
+    rng = np.random.default_rng(30)
+    B = rng.uniform(size=(8, 2))
+    if kind == "full":
+        return snmf_spec(B @ B.T, 2, 1.0)
+    amap = SymmetricSampling(8, random_symmetric_omega(8, 0.5, rng))
+    return ProblemSpec(amap, amap.apply(B @ B.T), NonnegIndicator(), NonnegIndicator(),
+                       1.0, n=8, r=2)
+
+
+_Z8 = np.ones((8, 8))
+
+
+def _inclusion(spec, X, Y, U, V, Z=_Z8, scheme="prox_linear"):
+    return scheme_inclusion_residual(spec, _PARAMS, scheme, X, Y, Z, U, V, 2.0, 2.0)
+
+
+# the block updates called directly with a valid Z, so that the check under
+# test is their own (the table's update_u_update_v row goes through z_star),
+# and the oracle with misshapen candidate blocks
+_DIRECT_ENTRY_POINTS = {
+    "update_u": lambda spec, X, Y: update_u("prox_linear", spec, _PARAMS, X, Y, _Z8, 2.0),
+    "update_v": lambda spec, X, Y: update_v("prox_linear", spec, _PARAMS, X, Y, _Z8, 2.0),
+    "scheme_inclusion_residual_UV": lambda spec, X, Y: _inclusion(
+        spec, np.ones((8, 2)), np.ones((8, 2)), X, Y),
+}
+_MISSHAPEN_ENTRY_POINTS = {**FACTOR_ENTRY_POINTS, **_DIRECT_ENTRY_POINTS}
+# the two blocks' names in each signature, where they are not X and Y
+_BLOCK_NAMES = {
+    "update_u": ("X_k", "Y_k"),
+    "update_v": ("U", "Y_k"),
+    "scheme_inclusion_residual_UV": ("U", "V"),
+    "init_state": ("X0", "Y0"),
+    "solve": ("X0", "Y0"),
+}
+
+
+@pytest.mark.parametrize("kind", ["full", "sampling"])
+@pytest.mark.parametrize("bad", [0, 1])
+@pytest.mark.parametrize("name", sorted(_MISSHAPEN_ENTRY_POINTS))
+def test_misshapen_factors_are_named(kind, bad, name):
+    spec = _spec_8x2(kind)
+    blocks = [np.ones((8, 2)), np.ones((8, 2))]
+    blocks[bad] = np.ones((8, 3))
+    block = _BLOCK_NAMES.get(name, ("X", "Y"))[bad]
+    # symmetry_gap takes no spec, so it can only say that the two differ
+    message = ("shape mismatch" if name == "symmetry_gap"
+               else rf"^{block} has shape \(8, 3\), expected \(8, 2\)$")
+    with pytest.raises(ValueError, match=message):
+        _MISSHAPEN_ENTRY_POINTS[name](spec, *blocks)
+
+
+@pytest.mark.parametrize("kind", ["full", "sampling"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda spec, B, Z: theta(spec, _PARAMS, B, B, Z), id="theta"),
+    pytest.param(lambda spec, B, Z: _inclusion(spec, B, B, B, B, Z),
+                 id="scheme_inclusion_residual"),
+])
+def test_a_misshapen_z_is_a_dimension_mismatch(kind, call):
+    spec = _spec_8x2(kind)
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^Z has shape \(5, 5\), expected a 8x8 matrix$"):
+        call(spec, np.ones((8, 2)), np.ones((5, 5)))
+
+
+def test_scheme_inclusion_residual_rejects_a_scheme_the_problem_does_not_admit():
+    spec = _spec_8x2("full")  # nonnegative regularizers
+    B = np.ones((8, 2))
+    with pytest.raises(ConfigError, match="unknown scheme 'newton'"):
+        _inclusion(spec, B, B, B, B, scheme="newton")
+    with pytest.raises(ConfigError, match="proximal"):
+        _inclusion(spec, B, B, B, B, scheme="proximal")
