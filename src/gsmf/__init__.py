@@ -31,7 +31,6 @@ from .operators import (
     LinearMap,
     SymmetricSampling,
     gamma_min,
-    load_omega_csv,
     random_symmetric_omega,
     rho,
 )

@@ -160,7 +160,7 @@ def build_spec(cfg, M):
         amap = operators.FullVectorization(n)
     else:
         amap = operators.SymmetricSampling(n, _load(
-            operators.load_omega_csv, fields["omega_csv"], "problem.map.omega_csv"))
+            data.load_matrix, fields["omega_csv"], "problem.map.omega_csv"))
     return ProblemSpec(map=amap, b=amap.apply(M), psi=psi, phi=phi,
                        lam=prob["lambda"], n=n, r=prob["rank"])
 
@@ -212,6 +212,9 @@ def run_single(cfg, out_dir, seed=None, tag="run"):
         "relobj": last.relobj if last else None,
         "sym_gap": last.sym_gap if last else None,
         "stationarity_residual": last.stationarity_residual if last else None,
+        # None, as in diagnostics.report, when the run kept no audit snapshots
+        "descent_violations": (diagnostics.descent_audit(result, spec, params, config)
+                               if config.audit and result.records else None),
         "wall_time_sec": wall,
         "trace": str(trace_path),
     }
@@ -394,8 +397,8 @@ def _check_items(cfg):
 
     def check_descent_audit(spec, params):
         config = build_solver_config(cfg)
-        config.audit = True
-        config.max_iters = min(config.max_iters, 50)
+        config = dataclasses.replace(config, audit=True,
+                                     max_iters=min(config.max_iters, 50))
         result = solve(spec, params, config)
         bad = diagnostics.descent_audit(result, spec, params, config)
         return bad == 0, f"{bad} violations over {len(result.records)} iterations"

@@ -3,12 +3,13 @@
 Synthetic targets follow the recipe ``M = N^T N; M = M / max(M); M += t *
 |randn|`` with N drawn i.i.d. uniform(0, 1).  Randomness comes from
 ``numpy.random.default_rng`` (PCG64), so a dataset is reproducible from
-(seed, n, m, t).  Matrices load from Matrix Market files or headerless CSV,
-picked by extension.
+(seed, n, m, t).  Matrices are read and written as Matrix Market files or
+headerless CSV, picked by one suffix table.
 """
 
 from __future__ import annotations
 
+import gzip
 import logging
 import math
 import numbers
@@ -21,9 +22,12 @@ log = logging.getLogger("gsmf")
 # entries per block of rows of the noise that gen_data draws and adds
 # (128 KB of float64)
 _NOISE_BLOCK = 1 << 14
+# the suffixes load_matrix and save_matrix treat as Matrix Market; any other
+# file is CSV
+_MATRIX_MARKET = (".mtx", ".mtx.gz", ".mm")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetRecipe:
     """Where the factor source N comes from and how M is assembled; n and m
     are read by the synthetic source only, path by the file source only."""
@@ -69,10 +73,10 @@ class MatrixFileError(ValueError):
 
 
 def load_matrix(path):
-    """Read a dense matrix from a Matrix Market (.mtx) or CSV file."""
+    """Read a dense matrix from a Matrix Market or headerless CSV file."""
     p = str(path)
     try:
-        if p.endswith((".mtx", ".mtx.gz", ".mm")):
+        if p.endswith(_MATRIX_MARKET):
             from scipy import io as spio  # loaded by Matrix Market I/O alone
 
             M = spio.mmread(p)
@@ -80,16 +84,19 @@ def load_matrix(path):
                 M = M.toarray()
             return np.asarray(M, dtype=float)
         return np.loadtxt(p, delimiter=",", dtype=float, ndmin=2)
-    except ValueError as exc:
+    except (ValueError, EOFError, gzip.BadGzipFile) as exc:
         raise MatrixFileError(f"{p}: {exc}") from exc
 
 
 def save_matrix(path, M):
+    """Write M to exactly ``path``, in the format :func:`load_matrix` reads."""
     p = str(path)
-    if p.endswith((".mtx", ".mm")):
+    if p.endswith(_MATRIX_MARKET):
         from scipy import io as spio
 
-        spio.mmwrite(p, np.asarray(M))
+        # through a file object: given a name, mmwrite appends ".mtx" to it
+        with (gzip.open if p.endswith(".gz") else open)(p, "wb") as fh:
+            spio.mmwrite(fh, np.asarray(M))
     else:
         np.savetxt(p, np.asarray(M), delimiter=",")
 

@@ -13,8 +13,6 @@ import numbers
 
 import numpy as np
 
-from .data import MatrixFileError
-
 
 # uniforms per rng.random call of random_symmetric_omega (512 KB of float64)
 _DRAW_BLOCK = 1 << 16
@@ -69,8 +67,8 @@ class LinearMap:
         Z -= self.adjoint(v)
 
     def misfit(self, X, Y, b):
-        """The misfit ``A(X Y^T) - b``, from which the objective, ``z_star``
-        and the gradients are all built."""
+        """The misfit ``A(X Y^T) - b``: on the sampling map, a solve's data
+        term and the values of its ``misfit_operator``."""
         return self.apply(X @ Y.T) - b
 
     def misfit_norm_sq(self, X, Y, b):
@@ -175,11 +173,12 @@ class SymmetricSampling(LinearMap):
     """Sampling map that reads the entries of U indexed by a symmetric Omega.
 
     Omega is an array-like of 1-based (row, col) pairs: the (k, 2) integer
-    array of :func:`random_symmetric_omega`, the float array of
-    :func:`load_omega_csv`, or any iterable of pairs.  It must contain (j, i)
-    whenever it contains (i, j), hold no duplicates, and be sorted
-    lexicographically with the column index taking priority over the row
-    index.  A set violating any of these is rejected rather than repaired.
+    array of :func:`random_symmetric_omega`, the float array that
+    ``load_matrix`` reads from a two-column file, or any iterable of pairs.
+    It must contain (j, i) whenever it contains (i, j), hold no duplicates,
+    and be sorted lexicographically with the column index taking priority
+    over the row index.  A set violating any of these is rejected rather
+    than repaired.
     The map keeps Omega as index arrays: the 0-based rows and the pairs per
     column for the factor reads of ``misfit``, the 0-based columns for a
     non-C-order ``apply``, and the C-order flat index ``i n + j`` for
@@ -298,16 +297,6 @@ def rho(alpha, beta):
 def gamma_min(alpha, beta):
     """Smallest gamma >= 0 making ``(alpha + gamma) I + beta A* A`` PSD."""
     return max(0.0, -alpha, -(alpha + beta))
-
-
-def load_omega_csv(path):
-    """Read Omega from a two-column CSV of 1-based (row, col) pairs as a
-    (k, 2) float array; ``#`` comments and blank lines are skipped, and
-    :class:`SymmetricSampling` rejects a non-integral entry."""
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise MatrixFileError(f"{path}: {exc}") from exc
 
 
 def random_symmetric_omega(n, density, rng):

@@ -54,7 +54,7 @@ class AlgorithmInvariantError(RuntimeError):
     """A theoretical invariant of the method failed at runtime."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     scheme: str = "hierarchical"
     line_search: str = "average"

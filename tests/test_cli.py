@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import gzip
 import json
 import math
 import tracemalloc
@@ -8,7 +10,7 @@ import pytest
 import yaml
 
 from gsmf.cli import TRACE_HEADER, build_recipe, build_spec, load_config, main
-from gsmf.data import DatasetRecipe, gen_data, load_matrix, save_matrix
+from gsmf.data import DatasetRecipe, MatrixFileError, gen_data, load_matrix, save_matrix
 from gsmf.objective import RelaxationParams, snmf_spec
 from gsmf.operators import FullVectorization, random_symmetric_omega
 from gsmf.regularizers import L1, NonnegIndicator, NonnegPlusL1, Zero
@@ -174,14 +176,35 @@ def test_full_map_b_is_a_view_of_m(tmp_path):
     assert np.shares_memory(build_spec(cfg, M).b, M)
 
 
-def test_matrix_roundtrip_csv_and_mtx(tmp_path):
+@pytest.mark.parametrize("name", ["a.csv", "a.mtx", "a.mm", "a.mtx.gz"])
+def test_matrix_roundtrip_csv_and_mtx(tmp_path, name):
     rng = np.random.default_rng(0)
     A = rng.uniform(size=(5, 3))
-    for name in ("a.csv", "a.mtx"):
-        path = tmp_path / name
-        save_matrix(path, A)
-        back = load_matrix(path)
-        assert np.allclose(back, A, rtol=0, atol=1e-12)
+    path = tmp_path / name
+    save_matrix(path, A)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]  # exactly that path
+    back = load_matrix(path)
+    assert np.allclose(back, A, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("content", [
+    b"not gzip\n",
+    gzip.compress(b"%%MatrixMarket", mtime=0)[:-4],  # cut inside its trailer
+], ids=["plain-text", "truncated"])
+def test_load_matrix_names_a_gz_file_that_is_not_gzip(tmp_path, content):
+    path = tmp_path / "bad.mtx.gz"
+    path.write_bytes(content)
+    with pytest.raises(MatrixFileError) as exc:
+        load_matrix(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_recipe_is_frozen():
+    recipe = DatasetRecipe(source="synthetic", n=4, m=2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        recipe.noise_t = -1.0
+    with pytest.raises(ValueError, match="^noise_t must be finite and >= 0"):
+        dataclasses.replace(recipe, noise_t=-1.0)
 
 
 def test_recipe_validation():
@@ -369,6 +392,17 @@ def test_cli_solve_planted_instance(tmp_path, capsys):
     assert float(last["f_value"]) == summary["f_value"]
     assert float(last["relobj"]) == summary["relobj"]
     assert float(last["sym_gap"]) == summary["sym_gap"]
+
+
+@pytest.mark.parametrize("audit, violations", [(True, 0), (False, None)])
+def test_cli_solve_summary_reads_the_descent_audit(tmp_path, capsys, audit, violations):
+    cfg_path = write_config(tmp_path, base_config(**{"solver.max_iters": 20,
+                                                     "solver.audit": audit}))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 2
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["iters"] == 20
+    assert summary["descent_violations"] == violations
 
 
 def test_cli_solve_missing_rank_names_field(tmp_path, capsys):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from gsmf import operators
+from gsmf.data import load_matrix
 from gsmf.operators import (
     DimensionMismatchError,
     FullVectorization,
     SymmetricSampling,
     _mul_thin,
     gamma_min,
-    load_omega_csv,
     random_symmetric_omega,
     rho,
 )
@@ -324,15 +324,15 @@ def test_sampling_map_from_array_equals_map_from_list():
             == from_list.misfit(X, Y, b).tobytes())
 
 
-def test_load_omega_csv_roundtrip(tmp_path):
+def test_omega_csv_roundtrip_through_load_matrix(tmp_path):
     path = tmp_path / "omega.csv"
     path.write_text("# pairs\n2,1\n\n1,2\n")
-    assert load_omega_csv(path).tolist() == [[2, 1], [1, 2]]
-    SymmetricSampling(2, load_omega_csv(path))
+    assert load_matrix(path).tolist() == [[2, 1], [1, 2]]
+    SymmetricSampling(2, load_matrix(path))
     # the pairs are read as floats, so the map's own check names a fraction
     path.write_text("1,1\n1.5,2\n")
     with pytest.raises(ValueError, match=r"Omega entry .*1\.5.* is not a pair"):
-        SymmetricSampling(2, load_omega_csv(path))
+        SymmetricSampling(2, load_matrix(path))
 
 
 def _pairs(omega):

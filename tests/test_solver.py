@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -107,6 +108,16 @@ _NO_LIMIT = ("sigma_max0", "max_time_sec", "tol")  # inf means "no limit"
 def test_config_rejects_a_non_finite_number(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be (a number|finite), got"):
         SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("line_search", "armijo"), ("p_const", 5.0),
+                                          ("tol", "1e-9")])
+def test_config_is_frozen_and_replace_checks_again(field, value):
+    config = SolverConfig(max_iters=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, value)
+    with pytest.raises(ConfigError, match=f"^(unknown )?{field}"):
+        dataclasses.replace(config, **{field: value})
 
 
 @pytest.mark.parametrize("value", [-1.0, -1e-300, -math.inf])
