@@ -280,6 +280,8 @@ def _apply_point(cfg, point):
 
 
 def cmd_sweep(args):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs: need at least 1 worker, got {args.jobs}")
     cfg = load_config(args.config)
     sweep = _section(cfg, "sweep")
     if sweep["reps"] < 1:
@@ -303,7 +305,7 @@ def cmd_sweep(args):
                 rows.append(None)
         return idx, point, rows
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         results = list(pool.map(run_point, enumerate(points)))
 
     table_path = out / "sweep.csv"

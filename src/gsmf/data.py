@@ -69,7 +69,7 @@ class DatasetRecipe:
 
 
 class MatrixFileError(ValueError):
-    """A matrix file that opens but does not parse; the message names the file."""
+    """A matrix file that does not parse or holds no entries; the message names it."""
 
 
 def load_matrix(path):
@@ -79,11 +79,18 @@ def load_matrix(path):
         if p.endswith(_MATRIX_MARKET):
             from scipy import io as spio  # loaded by Matrix Market I/O alone
 
+            if 0 in spio.mminfo(p)[:2]:  # checked first: mmread crashes on 0x0
+                raise ValueError("the file holds no entries")
             M = spio.mmread(p)
             if hasattr(M, "toarray"):
                 M = M.toarray()
             return np.asarray(M, dtype=float)
-        return np.loadtxt(p, delimiter=",", dtype=float, ndmin=2)
+        # opened as loadtxt opens a path, which only warns on a file with no data
+        with np.lib.npyio.DataSource(".").open(p, "rt") as fh:
+            if not any(line.split("#", 1)[0].strip() for line in fh):
+                raise ValueError("the file holds no entries")
+            fh.seek(0)
+            return np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)
     except (ValueError, EOFError, gzip.BadGzipFile) as exc:
         raise MatrixFileError(f"{p}: {exc}") from exc
 

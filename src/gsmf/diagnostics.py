@@ -15,6 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .objective import ProblemSpec, RelaxationParams, f_lambda, theta, z_star
+from .operators import FullVectorization
 
 log = logging.getLogger("gsmf")
 
@@ -79,26 +80,6 @@ def symmetry_gap(X, Y) -> float:
     return float(np.sum(D * D))
 
 
-def _matrix_spectral_norm(A, max_iters=1000, tol=1e-10):
-    """Spectral norm of a square matrix by power iteration on A^T A."""
-    A = np.asarray(A)
-    n = A.shape[0]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    lam = 0.0
-    for _ in range(max_iters):
-        w = A.T @ (A @ v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new = float(v @ (A.T @ (A @ v)))
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
-            lam = new
-            break
-        lam = new
-    return math.sqrt(max(lam, 0.0))
-
-
 def exact_penalty_threshold(spec: ProblemSpec, X, Y):
     """Smallest lambda forcing X = Y at this stationary point, and whether
     the spec's lambda already exceeds it.
@@ -112,7 +93,16 @@ def exact_penalty_threshold(spec: ProblemSpec, X, Y):
     if float(np.max(np.abs(Ab - Ab.T))) > 1e-10 * max(1.0, float(np.max(np.abs(Ab)))):
         raise ValueError("A*(b) must be symmetric for the exact-penalty threshold")
     X, Y = spec.check_shapes(X, Y)
-    op_norm = _matrix_spectral_norm(spec.map.gram_apply(X @ Y.T))
+    if isinstance(spec.map, FullVectorization):  # A* A = I; X Y^T = Q_X R_X R_Y^T Q_Y^T
+        op_norm = math.sqrt(spectral_norm_sq(
+            np.linalg.qr(X, mode="r") @ np.linalg.qr(Y, mode="r").T))
+    else:  # A* A (X Y^T) is the sparse misfit operator at b = 0
+        from scipy.sparse.linalg import svds  # the sampling map alone loads it
+
+        G0 = spec.map.misfit_operator(X, Y, np.zeros(spec.map.q))
+        op_norm = float(np.max(np.abs(G0.data)))  # n = 1 or G0 = 0: ARPACK cannot run
+        if spec.n > 1 and op_norm > 0:  # seeded: two calls agree to the last bit
+            op_norm = float(svds(G0, k=1, return_singular_vectors=False, rng=0)[0])
     eig_min = float(np.linalg.eigvalsh(Ab)[0])
     threshold = 0.5 * (op_norm + spec.psi.kappa - eig_min)
     return threshold, spec.lam > threshold

@@ -3,12 +3,17 @@ import dataclasses
 import gzip
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import gsmf
 from gsmf.cli import TRACE_HEADER, build_recipe, build_spec, load_config, main
 from gsmf.data import DatasetRecipe, MatrixFileError, gen_data, load_matrix, save_matrix
 from gsmf.objective import RelaxationParams, snmf_spec
@@ -197,6 +202,57 @@ def test_load_matrix_names_a_gz_file_that_is_not_gzip(tmp_path, content):
     with pytest.raises(MatrixFileError) as exc:
         load_matrix(path)
     assert str(exc.value).startswith(f"{path}: ")
+
+
+# files with no entries: no data lines, or a Matrix Market header of size 0
+_EMPTY_FILES = {
+    "empty.csv": "",
+    "blank.csv": "\n  \n\n",
+    "empty.mtx": "%%MatrixMarket matrix array real general\n0 0\n",
+}
+
+
+def _python(cwd, *args):
+    """Run ``python *args`` on this checkout's gsmf in a fresh interpreter:
+    a crash there fails one test instead of killing the test process."""
+    env = dict(os.environ)
+    src = str(Path(gsmf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", sorted(_EMPTY_FILES))
+def test_load_matrix_names_a_file_with_no_entries(tmp_path, name):
+    (tmp_path / name).write_text(_EMPTY_FILES[name])
+    proc = _python(tmp_path, "-c", (
+        "from gsmf.data import MatrixFileError, load_matrix\n"
+        "try:\n"
+        f"    load_matrix({name!r})\n"
+        "except MatrixFileError as exc:\n"
+        "    print(exc)\n"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"{name}: the file holds no entries\n", "")
+
+
+def test_load_matrix_reads_a_coordinate_file_with_no_entries_as_zeros(tmp_path):
+    path = tmp_path / "zero.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 0\n")
+    assert np.array_equal(load_matrix(path), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("name", sorted(_EMPTY_FILES))
+@pytest.mark.parametrize("field", ["dataset.path", "problem.map.omega_csv"])
+def test_cli_solve_names_a_data_file_with_no_entries(tmp_path, field, name):
+    (tmp_path / name).write_text(_EMPTY_FILES[name])
+    if field == "dataset.path":
+        cfg = base_config(dataset={"source": "file", "path": name})
+    else:
+        cfg = base_config(**{"problem.map": {"kind": "sampling", "omega_csv": name}})
+    cfg_path = write_config(tmp_path, cfg)
+    proc = _python(tmp_path, "-m", "gsmf.cli", "solve", "--config", cfg_path)
+    assert (proc.returncode, proc.stderr) == (
+        1, f"error: `{field}`: {name}: the file holds no entries\n")
 
 
 def test_recipe_is_frozen():
@@ -686,6 +742,17 @@ def test_cli_sweep_empty_axis_is_an_error(tmp_path, capsys):
     code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "o")])
     assert code == 1
     assert "lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_sweep_needs_at_least_one_job(tmp_path, capsys, jobs):
+    cfg = base_config(**{"solver.max_iters": 3})
+    cfg["sweep"] = {"alpha": [0.6]}
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == f"error: --jobs: need at least 1 worker, got {jobs}\n"
+    assert not out.exists()
 
 
 def test_cli_sweep_survives_failing_point(tmp_path, capsys):

@@ -144,8 +144,9 @@ def test_penalty_threshold_identity_instance():
     assert satisfied
 
 
+@pytest.mark.parametrize("draw", ["uniform", "standard_normal"])
 @pytest.mark.parametrize("kind", ["full", "sampling"])
-def test_penalty_threshold_matches_dense_oracle(kind):
+def test_penalty_threshold_matches_dense_oracle(kind, draw):
     rng = np.random.default_rng(8)
     n = 7 if kind == "full" else 30
     spec, _ = planted(n, 3, 9, lam=0.5)
@@ -156,12 +157,40 @@ def test_penalty_threshold_matches_dense_oracle(kind):
         amap = SymmetricSampling(n, random_symmetric_omega(n, 0.3, rng))
         mask = amap.adjoint(np.ones(amap.q))
         spec = ProblemSpec(amap, amap.apply(M), spec.psi, spec.phi, spec.lam, n, 3)
-    X = rng.uniform(size=(n, 3))
-    Y = rng.uniform(size=(n, 3))
+    X = getattr(rng, draw)(size=(n, 3))
+    Y = getattr(rng, draw)(size=(n, 3))
     threshold, _ = exact_penalty_threshold(spec, X, Y)
     want = 0.5 * (np.linalg.norm(mask * (X @ Y.T), 2)
                   - np.linalg.eigvalsh(mask * M)[0])
     assert threshold == pytest.approx(want, rel=1e-8)
+    assert exact_penalty_threshold(spec, X, Y)[0] == threshold  # to the last bit
+
+
+@pytest.mark.parametrize("kind", ["full", "sampling"])
+def test_penalty_threshold_of_a_factor_orthogonal_to_the_ones_vector(kind):
+    # ||u u^T||_2 = 2 for u = (1, -1, 0, ...): a power iteration started at
+    # the ones vector, orthogonal to u, reads 0 and certifies lambda = 0.3
+    n = 6
+    u = np.array([[1.0, -1.0, 0.0, 0.0, 0.0, 0.0]]).T
+    spec = snmf_spec(np.eye(n), 1, 0.3, psi=Zero(), phi=Zero())
+    if kind == "sampling":
+        amap = SymmetricSampling(n, [(i, j) for j in range(1, n + 1)
+                                     for i in range(1, n + 1)])
+        spec = ProblemSpec(amap, amap.apply(np.eye(n)), Zero(), Zero(), 0.3, n, 1)
+    threshold, satisfied = exact_penalty_threshold(spec, u, u)
+    assert threshold == pytest.approx(0.5, abs=1e-12)
+    assert satisfied is False
+
+
+@pytest.mark.parametrize("n, x, y, want", [
+    (1, -2.0, 3.0, 0.5 * (6.0 - 0.5)),  # ARPACK needs k < n: one entry
+    (5, 0.0, 0.0, -0.25),  # ARPACK cannot start on a zero operator
+])
+def test_penalty_threshold_on_sampling_maps_arpack_does_not_run_on(n, x, y, want):
+    amap = SymmetricSampling(n, [(i, i) for i in range(1, n + 1)])
+    spec = ProblemSpec(amap, np.full(n, 0.5), Zero(), Zero(), 0.1, n, 1)
+    threshold, _ = exact_penalty_threshold(spec, np.full((n, 1), x), np.full((n, 1), y))
+    assert threshold == pytest.approx(want, abs=1e-15)
 
 
 def test_penalty_threshold_preconditions():
