@@ -310,7 +310,7 @@ def cmd_sweep(args):
 
     table_path = out / "sweep.csv"
     with open(table_path, "w", newline="\n") as fh:
-        fh.write("point,failed,mean_iter,mean_relobj,mean_time,mean_sym_gap\n")
+        fh.write("point,failed,mean_iter,mean_relobj,mean_elapsed_sec,mean_sym_gap\n")
         for _, point, rows in results:
             good = [r for r in rows if r is not None]
             label = ";".join(f"{k}={v}" for k, v in point.items())
@@ -326,7 +326,7 @@ def cmd_sweep(args):
 
 
 def _check_items(cfg):
-    """The identity/property suite behind `gsmf check`."""
+    """The identity/property suite behind `gsmf check`, on the configured problem."""
     items = []
 
     def record(name, fn, *built):
@@ -340,24 +340,6 @@ def _check_items(cfg):
         items.append({"name": name, "passed": bool(ok), "detail": detail})
 
     rng = np.random.default_rng(0)
-
-    def check_operators():
-        worst = 0.0
-        for amap in (
-            operators.FullVectorization(6),
-            operators.SymmetricSampling(
-                6, operators.random_symmetric_omega(6, 0.4, rng)
-            ),
-        ):
-            for _ in range(20):
-                U = rng.standard_normal((6, 6))
-                v = rng.standard_normal(amap.q)
-                worst = max(worst, float(np.max(np.abs(amap.apply(amap.adjoint(v)) - v))))
-                worst = max(
-                    worst,
-                    abs(float(amap.apply(U) @ v) - float(np.sum(U * amap.adjoint(v)))),
-                )
-        return worst <= 1e-12, f"max deviation {worst:.3e}"
 
     def built(build):
         """``build()``, or the exception it raised."""
@@ -386,16 +368,34 @@ def _check_items(cfg):
             worst = max(worst, gap / (1.0 + abs(f)))
         return worst <= 1e-10, f"max relative gap {worst:.3e}"
 
-    def check_prox():
-        reg = regularizers.L1(0.7)
-        W = rng.standard_normal((5, 3))
-        P = reg.prox(W, 0.9)
-        base = reg.eval(P) + np.sum((P - W) ** 2) / (2 * 0.9)
-        for _ in range(50):
-            Q = P + 0.1 * rng.standard_normal(P.shape)
-            if reg.eval(Q) + np.sum((Q - W) ** 2) / (2 * 0.9) < base - 1e-10:
-                return False, "prox point is not a minimizer"
-        return True, "prox optimality held on 50 perturbations"
+    def check_operators(spec):
+        """``A A* = I`` and adjointness, relative to the norms, on spec's map."""
+        amap, worst = spec.map, 0.0
+        for _ in range(3):
+            U, v = rng.standard_normal((spec.n, spec.n)), rng.standard_normal(amap.q)
+            gap = float(amap.apply(U) @ v) - float(np.sum(U * amap.adjoint(v)))
+            miss = np.linalg.norm(amap.apply(amap.adjoint(v)) - v)
+            worst = max(worst, (abs(gap) / np.linalg.norm(U) + miss) / np.linalg.norm(v))
+        return worst <= 1e-12, (f"{type(amap).__name__} n={spec.n} q={amap.q}: "
+                                f"max deviation {worst:.3e}")
+
+    def check_prox(spec):
+        """Each of spec's psi and phi: its prox lands in its domain, and no
+        step of Frobenius norm 0.1 from it lowers the prox objective."""
+        details = []
+        for reg in [spec.psi] + ([spec.phi] if spec.phi != spec.psi else []):
+            W = rng.standard_normal((spec.n, spec.r))
+            D = rng.standard_normal((50, spec.n, spec.r))
+            D *= 0.1 / np.linalg.norm(D, axis=(1, 2), keepdims=True)
+            P = reg.prox(W, 0.9)
+            base, *perturbed = [reg.eval(Q) + np.sum((Q - W) ** 2) / (2 * 0.9)
+                                for Q in [P, *(P + D)]]
+            if not np.isfinite(base):
+                return False, f"prox of {reg!r} leaves its domain"
+            if min(perturbed) < base - 1e-10 * (1 + base):
+                return False, f"prox of {reg!r} is not a minimizer"
+            details.append(f"prox of {reg!r} is a minimizer on 50 perturbations")
+        return True, "; ".join(details)
 
     def check_descent_audit(spec, params):
         config = build_solver_config(cfg)
@@ -405,11 +405,11 @@ def _check_items(cfg):
         bad = diagnostics.descent_audit(result, spec, params, config)
         return bad == 0, f"{bad} violations over {len(result.records)} iterations"
 
-    record("operator_identities", check_operators)
+    record("operator_identities", check_operators, spec)
     record("relaxation_params", check_params, params)
     record("problem_spec", check_spec, spec)
     record("relaxation_identity", check_relaxation_identity, spec, params)
-    record("prox_optimality", check_prox)
+    record("prox_optimality", check_prox, spec)
     record("descent_audit", check_descent_audit, spec, params)
     return items
 

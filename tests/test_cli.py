@@ -170,6 +170,7 @@ def test_set_up_holds_only_m(tmp_path, kind):
         M = gen_data(build_recipe(cfg))
         return snmf_spec(M, 3, 1.0) if kind == "snmf_spec" else build_spec(cfg, M)
 
+    set_up()  # so the peak leaves out the first import of what set-up loads
     arrays = _peak_arrays(set_up, n)
     assert arrays < 1.2, f"set-up peaked at {arrays:.2f} n-by-n arrays"
 
@@ -728,6 +729,8 @@ def test_cli_sweep_alpha(tmp_path, capsys):
     cfg_path = write_config(tmp_path, cfg)
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg_path, "--out", str(out), "--jobs", "2"]) == 0
+    assert (out / "sweep.csv").read_text().splitlines()[0] == (
+        "point,failed,mean_iter,mean_relobj,mean_elapsed_sec,mean_sym_gap")
     rows = read_sweep(out / "sweep.csv")
     assert [r["point"] for r in rows] == ["alpha=0.2", "alpha=0.6", "alpha=2.0"]
     assert all(r["failed"] == "0" for r in rows)
@@ -806,15 +809,83 @@ def test_cli_sweep_alpha_lambda_grid(tmp_path, capsys):
 # --------------------------------------------------------------------------
 
 
-def test_cli_check_passes_on_fresh_config(tmp_path, capsys):
-    cfg = base_config(**{"solver.max_iters": 100})
-    cfg_path = write_config(tmp_path, cfg)
-    out = tmp_path / "o"
-    assert main(["check", "--config", cfg_path, "--out", str(out)]) == 0
-    report = json.loads((out / "check.json").read_text())
-    assert report["all_passed"]
-    names = {item["name"] for item in report["items"]}
-    assert {"operator_identities", "relaxation_identity", "descent_audit"} <= names
+def _check_config(tmp_path, map_kind="full", kind="nonneg"):
+    """A 20-by-20 config on the given map, with psi = phi of the given kind."""
+    reg = {"kind": kind, **({"weight": 0.1} if kind in ("l1", "nonneg_l1") else {})}
+    cfg = base_config(**{"solver.max_iters": 100, "problem.psi": reg,
+                         "problem.phi": reg})
+    if map_kind == "sampling":
+        omega = random_symmetric_omega(20, 0.6, np.random.default_rng(1))
+        np.savetxt(tmp_path / "omega.csv", omega, fmt="%d", delimiter=",")
+        cfg["problem"]["map"] = {"kind": "sampling",
+                                 "omega_csv": str(tmp_path / "omega.csv")}
+    return write_config(tmp_path, cfg)
+
+
+def _check_report(tmp_path, capsys, **config):
+    """`gsmf check`'s exit code and its items by name."""
+    code = main(["check", "--config", _check_config(tmp_path, **config)])
+    return code, {it["name"]: it for it in json.loads(capsys.readouterr().out)["items"]}
+
+
+_REGULARIZERS = {"zero": Zero(), "nonneg": NonnegIndicator(), "l1": L1(0.1),
+                 "nonneg_l1": NonnegPlusL1(0.1)}
+
+
+@pytest.mark.parametrize("kind", ["zero", "nonneg", "l1", "nonneg_l1"])
+@pytest.mark.parametrize("map_kind, map_name", [("full", "FullVectorization"),
+                                               ("sampling", "SymmetricSampling")])
+def test_cli_check_passes_on_fresh_config(tmp_path, capsys, map_kind, map_name, kind):
+    code, items = _check_report(tmp_path, capsys, map_kind=map_kind, kind=kind)
+    assert code == 0 and all(item["passed"] for item in items.values())
+    assert list(items) == ["operator_identities", "relaxation_params", "problem_spec",
+                           "relaxation_identity", "prox_optimality", "descent_audit"]
+    # each item that checks the map or the regularizers names what it checked
+    assert items["operator_identities"]["detail"].startswith(f"{map_name} n=20 q=")
+    assert items["prox_optimality"]["detail"] == (
+        f"prox of {_REGULARIZERS[kind]!r} is a minimizer on 50 perturbations")
+
+
+def test_cli_check_checks_psi_and_phi(tmp_path, capsys):
+    cfg = base_config(**{"solver.max_iters": 20, "problem.psi": "l1",
+                         "problem.phi": {"kind": "nonneg_l1", "weight": 0.1}})
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
+    items = {it["name"]: it for it in json.loads(capsys.readouterr().out)["items"]}
+    assert items["prox_optimality"]["detail"] == (
+        "prox of L1(weight=1.0) is a minimizer on 50 perturbations; "
+        "prox of NonnegPlusL1(weight=0.1) is a minimizer on 50 perturbations")
+
+
+# a fault in the full map's adjoint fails only a check of the full map
+@pytest.mark.parametrize("map_kind, map_name, passed", [
+    ("sampling", "SymmetricSampling", True), ("full", "FullVectorization", False)])
+def test_cli_check_operators_check_the_configured_map(tmp_path, capsys, monkeypatch,
+                                                       map_kind, map_name, passed):
+    adjoint = FullVectorization.adjoint
+    monkeypatch.setattr(FullVectorization, "adjoint",
+                        lambda self, v: 2 * adjoint(self, v))
+    _, items = _check_report(tmp_path, capsys, map_kind=map_kind)
+    assert items["operator_identities"]["passed"] is passed
+    assert items["operator_identities"]["detail"].startswith(f"{map_name} n=20 ")
+
+
+@pytest.mark.parametrize("kind, cls, prox, detail", [
+    # feasible, but half a unit off the minimizer
+    ("nonneg_l1", NonnegPlusL1,
+     lambda self, W, t: np.maximum(W - t * self.weight, 0.0) + 0.5,
+     "prox of NonnegPlusL1(weight=0.1) is not a minimizer"),
+    # outside the indicator's domain
+    ("nonneg", NonnegIndicator, lambda self, W, t: W,
+     "prox of NonnegIndicator() leaves its domain"),
+], ids=["feasible-not-minimal", "infeasible"])
+def test_cli_check_prox_fails_on_a_faulty_configured_prox(tmp_path, capsys,
+                                                          monkeypatch, kind, cls,
+                                                          prox, detail):
+    monkeypatch.setattr(cls, "prox", prox)
+    code, items = _check_report(tmp_path, capsys, kind=kind)
+    assert code == 1
+    assert items["prox_optimality"] == {"name": "prox_optimality", "passed": False,
+                                        "detail": detail}
 
 
 def test_cli_check_flags_inadmissible_relaxation(tmp_path, capsys):
