@@ -18,7 +18,7 @@ from gsmf.cli import TRACE_HEADER, build_recipe, build_spec, load_config, main
 from gsmf.data import DatasetRecipe, MatrixFileError, gen_data, load_matrix, save_matrix
 from gsmf.objective import RelaxationParams, snmf_spec
 from gsmf.operators import FullVectorization, random_symmetric_omega
-from gsmf.regularizers import L1, NonnegIndicator, NonnegPlusL1, Zero
+from gsmf.regularizers import KINDS, L1, NonnegIndicator, NonnegPlusL1, Zero
 
 
 def base_config(**overrides):
@@ -809,11 +809,17 @@ def test_cli_sweep_alpha_lambda_grid(tmp_path, capsys):
 # --------------------------------------------------------------------------
 
 
-def _check_config(tmp_path, map_kind="full", kind="nonneg"):
-    """A 20-by-20 config on the given map, with psi = phi of the given kind."""
-    reg = {"kind": kind, **({"weight": 0.1} if kind in ("l1", "nonneg_l1") else {})}
-    cfg = base_config(**{"solver.max_iters": 100, "problem.psi": reg,
-                         "problem.phi": reg})
+def _weights(kind):
+    """The parameters of a regularizer kind in the check configs."""
+    return {"weight": 0.1} if kind in ("l1", "nonneg_l1") else {}
+
+
+def _check_config(tmp_path, map_kind="full", psi="nonneg", phi=None):
+    """A 20-by-20 config on the given map, with regularizers of the given kinds
+    (phi = psi unless given)."""
+    cfg = base_config(**{"solver.max_iters": 100,
+                         "problem.psi": {"kind": psi, **_weights(psi)},
+                         "problem.phi": {"kind": phi or psi, **_weights(phi or psi)}})
     if map_kind == "sampling":
         omega = random_symmetric_omega(20, 0.6, np.random.default_rng(1))
         np.savetxt(tmp_path / "omega.csv", omega, fmt="%d", delimiter=",")
@@ -823,37 +829,36 @@ def _check_config(tmp_path, map_kind="full", kind="nonneg"):
 
 
 def _check_report(tmp_path, capsys, **config):
-    """`gsmf check`'s exit code and its items by name."""
-    code = main(["check", "--config", _check_config(tmp_path, **config)])
-    return code, {it["name"]: it for it in json.loads(capsys.readouterr().out)["items"]}
+    """`gsmf check --out`'s exit code and the items of the check.json it writes,
+    by name; the file must hold what it printed, and ``all_passed`` must
+    agree with the items."""
+    out = tmp_path / "o"
+    code = main(["check", "--config", _check_config(tmp_path, **config),
+                 "--out", str(out)])
+    report = json.loads((out / "check.json").read_text())
+    assert report == json.loads(capsys.readouterr().out)
+    assert report["all_passed"] is all(it["passed"] for it in report["items"])
+    return code, {it["name"]: it for it in report["items"]}
 
 
-_REGULARIZERS = {"zero": Zero(), "nonneg": NonnegIndicator(), "l1": L1(0.1),
-                 "nonneg_l1": NonnegPlusL1(0.1)}
+def _prox_detail(kind):
+    return f"prox of {KINDS[kind](**_weights(kind))!r} is a minimizer on 50 perturbations"
 
 
-@pytest.mark.parametrize("kind", ["zero", "nonneg", "l1", "nonneg_l1"])
+@pytest.mark.parametrize("psi, phi", [("zero", None), ("nonneg", None), ("l1", None),
+                                      ("nonneg_l1", None), ("l1", "nonneg_l1")])
 @pytest.mark.parametrize("map_kind, map_name", [("full", "FullVectorization"),
                                                ("sampling", "SymmetricSampling")])
-def test_cli_check_passes_on_fresh_config(tmp_path, capsys, map_kind, map_name, kind):
-    code, items = _check_report(tmp_path, capsys, map_kind=map_kind, kind=kind)
+def test_cli_check_passes_on_fresh_config(tmp_path, capsys, map_kind, map_name,
+                                          psi, phi):
+    code, items = _check_report(tmp_path, capsys, map_kind=map_kind, psi=psi, phi=phi)
     assert code == 0 and all(item["passed"] for item in items.values())
     assert list(items) == ["operator_identities", "relaxation_params", "problem_spec",
                            "relaxation_identity", "prox_optimality", "descent_audit"]
     # each item that checks the map or the regularizers names what it checked
     assert items["operator_identities"]["detail"].startswith(f"{map_name} n=20 q=")
-    assert items["prox_optimality"]["detail"] == (
-        f"prox of {_REGULARIZERS[kind]!r} is a minimizer on 50 perturbations")
-
-
-def test_cli_check_checks_psi_and_phi(tmp_path, capsys):
-    cfg = base_config(**{"solver.max_iters": 20, "problem.psi": "l1",
-                         "problem.phi": {"kind": "nonneg_l1", "weight": 0.1}})
-    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
-    items = {it["name"]: it for it in json.loads(capsys.readouterr().out)["items"]}
-    assert items["prox_optimality"]["detail"] == (
-        "prox of L1(weight=1.0) is a minimizer on 50 perturbations; "
-        "prox of NonnegPlusL1(weight=0.1) is a minimizer on 50 perturbations")
+    assert items["prox_optimality"]["detail"] == "; ".join(
+        _prox_detail(kind) for kind in ([psi, phi] if phi else [psi]))
 
 
 # a fault in the full map's adjoint fails only a check of the full map
@@ -882,7 +887,7 @@ def test_cli_check_prox_fails_on_a_faulty_configured_prox(tmp_path, capsys,
                                                           monkeypatch, kind, cls,
                                                           prox, detail):
     monkeypatch.setattr(cls, "prox", prox)
-    code, items = _check_report(tmp_path, capsys, kind=kind)
+    code, items = _check_report(tmp_path, capsys, psi=kind)
     assert code == 1
     assert items["prox_optimality"] == {"name": "prox_optimality", "passed": False,
                                         "detail": detail}
