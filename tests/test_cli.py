@@ -14,6 +14,7 @@ import pytest
 import yaml
 
 import gsmf
+from gsmf import diagnostics
 from gsmf.cli import TRACE_HEADER, build_recipe, build_spec, load_config, main
 from gsmf.data import DatasetRecipe, MatrixFileError, gen_data, load_matrix, save_matrix
 from gsmf.objective import RelaxationParams, snmf_spec
@@ -314,7 +315,7 @@ def test_recipe_rejects_a_field_its_source_does_not_read(tmp_path, capsys, monke
     assert str(exc.value) == message
     cfg_path = write_config(tmp_path, base_config(dataset=fields))
     assert main(["solve", "--config", cfg_path, "--out", "o"]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: `dataset`: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -507,6 +508,45 @@ def test_cli_solve_rejects_jobs_flag(tmp_path, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+def _seed_config(tmp_path, name, **overrides):
+    cfg = base_config(**{"dataset.noise_t": 0.01, "solver.max_iters": 5, **overrides})
+    cfg["sweep"] = {"alpha": [0.6]}
+    return write_config(tmp_path, cfg, name)
+
+
+# --seed runs as the config field its help names, and no other seed changes
+@pytest.mark.parametrize("command, field, output", [
+    ("gen-data", "dataset.seed", "M.csv"),
+    ("solve", "solver.seed", "run_trace.csv"),
+    ("sweep", "solver.seed", "point00_rep00_trace.csv"),
+])
+def test_cli_seed_overrides_the_field_its_help_names(tmp_path, capsys, command, field,
+                                                    output):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"--seed SEED override {field}" in " ".join(capsys.readouterr().out.split())
+    flag, out = _seed_config(tmp_path, "flag.yaml"), tmp_path / "flag"
+    assert main([command, "--config", flag, "--out", str(out), "--seed", "5"]) != 1
+    field_set = _seed_config(tmp_path, "field.yaml", **{field: 5})
+    assert main([command, "--config", field_set, "--out", str(tmp_path / "field")]) != 1
+    unset = _seed_config(tmp_path, "unset.yaml")
+    assert main([command, "--config", unset, "--out", str(tmp_path / "unset")]) != 1
+    written = (out / output).read_bytes()
+    assert written == (tmp_path / "field" / output).read_bytes()
+    assert written != (tmp_path / "unset" / output).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "solve", "sweep"])
+def test_cli_negative_seed_is_an_error_naming_the_flag(tmp_path, capsys, command):
+    # as --jobs 0 names --jobs: the flag, not the config section it overrides
+    out = tmp_path / "o"
+    cfg_path = _seed_config(tmp_path, "config.yaml")
+    assert main([command, "--config", cfg_path, "--out", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed: need a seed >= 0, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, name", [
     ("problem.lamda", 1.0, "lamda"),
     ("dataset.nosie_t", 0.1, "nosie_t"),
@@ -585,8 +625,13 @@ def write_raw_config(tmp_path, **fields):
     ("solve", "solver.max_iters", "true",
      "`solver.max_iters`: cannot read True as int"),
     ("solve", "solver.audit", '"false"', "`solver.audit`: cannot read 'false' as bool"),
-    ("solve", "solver.max_iters", "-3", "max_iters must be >= 0"),
-    ("solve", "solver.seed", "-1", "seed must be >= 0"),
+    # a value its section's constructor rejects names the section
+    ("solve", "solver.max_iters", "-3", "`solver`: max_iters must be >= 0"),
+    ("solve", "solver.seed", "-1", "`solver`: seed must be >= 0"),
+    ("solve", "dataset.seed", "-1", "`dataset`: seed must be >= 0, got -1"),
+    ("solve", "relaxation.alpha", "1.0", "`relaxation`: alpha must differ from 0 and 1"),
+    ("solve", "problem.rank", "0", "`problem`: rank r=0 must be >= 1"),
+    ("solve", "solver.tau", "0.5", "`solver`: tau must exceed 1"),
     ("solve", "output.dir", "5", "`output.dir`: cannot read 5 as str"),
     ("solve", "output.dri", "o", "unknown output field(s): ['dri']"),
     ("solve", "problem.psi", "{kind: l1, weight: abc}",
@@ -814,12 +859,13 @@ def _weights(kind):
     return {"weight": 0.1} if kind in ("l1", "nonneg_l1") else {}
 
 
-def _check_config(tmp_path, map_kind="full", psi="nonneg", phi=None):
+def _check_config(tmp_path, map_kind="full", psi="nonneg", phi=None, **overrides):
     """A 20-by-20 config on the given map, with regularizers of the given kinds
-    (phi = psi unless given)."""
+    (phi = psi unless given) and base_config's overrides."""
     cfg = base_config(**{"solver.max_iters": 100,
                          "problem.psi": {"kind": psi, **_weights(psi)},
-                         "problem.phi": {"kind": phi or psi, **_weights(phi or psi)}})
+                         "problem.phi": {"kind": phi or psi, **_weights(phi or psi)},
+                         **overrides})
     if map_kind == "sampling":
         omega = random_symmetric_omega(20, 0.6, np.random.default_rng(1))
         np.savetxt(tmp_path / "omega.csv", omega, fmt="%d", delimiter=",")
@@ -859,6 +905,29 @@ def test_cli_check_passes_on_fresh_config(tmp_path, capsys, map_kind, map_name,
     assert items["operator_identities"]["detail"].startswith(f"{map_name} n=20 q=")
     assert items["prox_optimality"]["detail"] == "; ".join(
         _prox_detail(kind) for kind in ([psi, phi] if phi else [psi]))
+    assert items["relaxation_identity"]["detail"].startswith("relative gap ")
+
+
+# the run budgets do not cut the descent audit short
+@pytest.mark.parametrize("budget", [{"solver.max_iters": 0}, {"solver.max_time_sec": 0.0}],
+                         ids=["max_iters", "max_time_sec"])
+def test_cli_check_audits_whatever_the_run_budgets(tmp_path, capsys, budget):
+    code, items = _check_report(tmp_path, capsys, **budget)
+    assert code == 0
+    assert items["descent_audit"] == {"name": "descent_audit", "passed": True,
+                                      "detail": "0 violations over 50 iterations"}
+
+
+def test_cli_check_flags_a_relaxation_defect(tmp_path, capsys, monkeypatch):
+    # Z* off by 1% breaks Theta(X, Y, Z*) = F on the single draw
+    z_star = diagnostics.z_star
+    monkeypatch.setattr(diagnostics, "z_star", lambda *args: 1.01 * z_star(*args))
+    code, items = _check_report(tmp_path, capsys)
+    assert code == 1
+    assert [name for name, it in items.items() if not it["passed"]] == [
+        "relaxation_identity"]
+    assert float(items["relaxation_identity"]["detail"].removeprefix(
+        "relative gap ")) > 1e-10
 
 
 # a fault in the full map's adjoint fails only a check of the full map
