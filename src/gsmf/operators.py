@@ -18,6 +18,9 @@ import numpy as np
 _DRAW_BLOCK = 1 << 16
 # entries per row block of FullVectorization.misfit_norm_sq (1 MB of float64)
 _MISFIT_BLOCK = 1 << 17
+# entries per factor gather of SymmetricSampling.misfit (128 KB of float64,
+# near glibc's default mmap threshold)
+_GATHER_BLOCK = 1 << 14
 
 
 class DimensionMismatchError(ValueError):
@@ -179,10 +182,10 @@ class SymmetricSampling(LinearMap):
     and be sorted lexicographically with the column index taking priority
     over the row index.  A set violating any of these is rejected rather
     than repaired.
-    The map keeps Omega as index arrays: the 0-based rows and the pairs per
-    column for the factor reads of ``misfit``, the 0-based columns for a
-    non-C-order ``apply``, and the C-order flat index ``i n + j`` for
-    ``apply``, ``adjoint`` and ``subtract_adjoint``.
+    The map keeps Omega as index arrays: the 0-based rows and columns for
+    the factor reads of ``misfit`` and a non-C-order ``apply``, the column
+    pointers of ``misfit_operator``, and the C-order flat index ``i n + j``
+    for ``apply``, ``adjoint`` and ``subtract_adjoint``.
     """
 
     def __init__(self, n, omega):
@@ -226,9 +229,8 @@ class SymmetricSampling(LinearMap):
         self.q = key.size
         self._rows, self._cols, self._flat = rows, cols, flat
         # Omega is sorted column first, so it is already in CSC order, and
-        # column j's entries are the next counts[j] pairs
+        # column j's entries are pairs colptr[j] to colptr[j + 1] - 1
         self._colptr = np.searchsorted(cols, np.arange(n + 1))
-        self._counts = np.diff(self._colptr)
         # scipy.sparse is loaded by this map alone, here in set-up rather
         # than in a solve step: a full-map process never loads it
         from scipy.sparse import csc_array
@@ -256,12 +258,19 @@ class SymmetricSampling(LinearMap):
         Z.put(self._flat, vals)
 
     def misfit(self, X, Y, b):
-        """``<X_i, Y_j> - b`` on Omega: O(|Omega| r), no n-by-n memory.  Y's
-        rows come in column order, so they are read by ``repeat``, not by a
-        random gather."""
-        vals = np.einsum("ij,ij->i", X.take(self._rows, axis=0),
-                         np.repeat(Y, self._counts, axis=0))
-        vals -= self._check_vector(b)
+        """``<X_i, Y_j> - b`` on Omega: O(|Omega| r) time and no |Omega|-by-r
+        array.  X's and Y's rows are gathered for one block of Omega at a
+        time (about ``_GATHER_BLOCK`` entries per factor), and the block's
+        row dots are written into the one output vector."""
+        b = self._check_vector(b)
+        rows, cols = self._rows, self._cols
+        vals = np.empty(self.q)
+        step = max(1, _GATHER_BLOCK // X.shape[1])
+        for s in range(0, self.q, step):
+            e = s + step
+            np.einsum("ij,ij->i", X.take(rows[s:e], axis=0),
+                      Y.take(cols[s:e], axis=0), out=vals[s:e])
+        vals -= b
         return vals
 
     def misfit_operator(self, X, Y, b, misfit=None):

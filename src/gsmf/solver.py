@@ -162,9 +162,9 @@ class _Kernel:
     the target M and the Gram cache, never forming X Y^T or Z.  On any other
     map it forms the dense Z once per outer iteration, for Z Y alone; the V
     block reads ``Z^T U = Y (X^T U) - c G^T U``, c = beta/(alpha+beta), from
-    the map's misfit operator G at (X, Y), built once per accepted pair (by
-    the residual, which needs G there too) and reused by the next outer
-    iteration;
+    the map's misfit operator G at (X, Y).  G and its transpose are built
+    once per accepted pair (by the residual, which needs both there too)
+    and reused by the next outer iteration and all of its retries;
     ``G^T U`` costs O(|Omega| r) on the sampling map.  Every n-by-n times n-by-r
     product (most of the time of an outer iteration) goes through
     ``_mul_thin``, its fastest orientation.
@@ -184,7 +184,7 @@ class _Kernel:
         # sigma-only retries reuse the last U's U^T U and Z^T U
         self._U = self._UtU = self._ZtU = None
         # off the full map: the last candidate's misfit, Z at (X, Y), and
-        # the misfit operator G with the pair it was built at
+        # the misfit operator G (with G^T) and the pair it was built at
         self._misfit = self.Z = self.G = self._G_at = None
         self.cache = (GramCache(spec.map.adjoint(spec.b))
                       if isinstance(spec.map, FullVectorization) else None)
@@ -213,8 +213,7 @@ class _Kernel:
             # only the first step builds it, after Z for the same reason
             at = self._G_at
             if at is None or at[0] is not X or at[1] is not Y:
-                self.G = self.spec.map.misfit_operator(X, Y, self.spec.b)
-                self._G_at = X, Y
+                self._build_g(X, Y)
         self.ynorm2 = spectral_norm_sq(Y)
 
     # -- blocks -------------------------------------------------------------
@@ -248,14 +247,19 @@ class _Kernel:
         (U, V), which the next :meth:`begin_outer` reuses.
         """
         if self.cache is None:
-            self.G = self.spec.map.misfit_operator(U, V, self.spec.b,
-                                                   misfit=self._misfit)
-            self._G_at = U, V
+            self._build_g(U, V, self._misfit)
             return diagnostics.gradients(self.spec, U, V, G=self.G)
         cache = self.cache
         self._V, self._MV = V, _mul_thin(cache.M, V)
         D = self.spec.lam * (U - V)
         return U @ cache.VtV - self._MV + D, V @ cache.UtU - cache.MtU - D
+
+    def _build_g(self, X, Y, misfit=None):
+        """The misfit operator G at (X, Y), with its transpose formed here,
+        once: a scipy sparse ``G.T`` builds a new array on every read."""
+        self.G = _WithTranspose(self.spec.map.misfit_operator(
+            X, Y, self.spec.b, misfit=misfit))
+        self._G_at = X, Y
 
     # -- objective ----------------------------------------------------------
 
@@ -285,6 +289,16 @@ class _Kernel:
             val = f_lambda(self.spec, U, V, misfit=self._misfit)
         self.f_err = _roundoff_bound(val, self.spec.bnorm)
         return val
+
+
+class _WithTranspose:
+    """An operator G whose ``T`` is ``G.T``, formed once."""
+
+    def __init__(self, G):
+        self.G, self.T = G, G.T
+
+    def __matmul__(self, W):
+        return self.G @ W
 
 
 def _check_scheme(scheme, spec):

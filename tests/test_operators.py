@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,52 @@ def test_sampling_map_from_array_equals_map_from_list():
     assert from_array.apply(U).tobytes() == from_list.apply(U).tobytes()
     assert (from_array.misfit(X, Y, b).tobytes()
             == from_list.misfit(X, Y, b).tobytes())
+
+
+def _gather_misfit(omega, X, Y, b):
+    """Reference misfit: whole |Omega|-by-r gathers of X's and Y's rows."""
+    omega = np.asarray(omega)
+    return np.einsum("ij,ij->i", X.take(omega[:, 0] - 1, axis=0),
+                     Y.take(omega[:, 1] - 1, axis=0)) - b
+
+
+@pytest.mark.parametrize("n, density", [(1, 1.0), (30, 0.3), (300, 0.3)])
+@pytest.mark.parametrize("r", [1, 3])
+def test_sampling_misfit_matches_whole_gathers_across_blocks(monkeypatch, n,
+                                                             density, r):
+    rng = np.random.default_rng(n + r)
+    omega = random_symmetric_omega(n, density, rng)
+    amap = SymmetricSampling(n, omega)
+    X, Y = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+    b = rng.standard_normal(amap.q)
+    want = _gather_misfit(omega, X, Y, b)
+    q = amap.q
+    assert np.array_equal(amap.misfit(X, Y, b), want)  # the module's block
+    # pairs per block: more than |Omega| (one short block), a divisor of
+    # |Omega| (whole blocks), and |Omega| - 1 (a last block of one pair)
+    for pairs in {q + 1, q // 2 if q % 2 == 0 else 1, 1, q - 1} - {0}:
+        # a block size that is not a multiple of r rounds down to whole pairs
+        monkeypatch.setattr(operators, "_GATHER_BLOCK", pairs * r + r - 1)
+        assert np.array_equal(amap.misfit(X, Y, b), want), pairs
+
+
+def test_sampling_misfit_holds_no_omega_by_r_array():
+    # the gathers are a block of Omega each: peak memory is the length-|Omega|
+    # output and two blocks, not the two |Omega|-by-r gathers of the whole
+    n, r = 1500, 10
+    rng = np.random.default_rng(3)
+    amap = SymmetricSampling(n, random_symmetric_omega(n, 0.01, rng))
+    X, Y = rng.uniform(size=(n, r)), rng.uniform(size=(n, r))
+    b = rng.uniform(size=amap.q)
+    amap.misfit(X, Y, b)  # warm: first-call allocations are not the misfit's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        amap.misfit(X, Y, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * amap.q * r * 8
 
 
 def test_omega_csv_roundtrip_through_load_matrix(tmp_path):

@@ -696,25 +696,22 @@ def test_sigma_only_retries_reuse_the_u_product(monkeypatch, sampling):
         return update_v(self, U, sigma)
 
     if sampling:
-        class SpyG:
-            """The misfit operator G, counting ``G.T @ U`` for the block's U."""
+        class SpyGt:
+            """G^T for the misfit operator G, counting ``G^T @ U`` for the
+            block's U."""
 
-            def __init__(self, G, transposed=False):
-                self.G, self.transposed = G, transposed
+            def __init__(self, Gt):
+                self.Gt = Gt
 
             def __matmul__(self, W):
-                u_products[0] += self.transposed and any(W is U for U in us)
-                return self.G @ W
-
-            @property
-            def T(self):
-                return SpyG(self.G.T, True)
+                u_products[0] += any(W is U for U in us)
+                return self.Gt @ W
 
         begin_outer = kernel.begin_outer
 
         def spy_begin_outer(self, X, Y):
             begin_outer(self, X, Y)
-            self.G = SpyG(self.G)
+            self.G.T = SpyGt(self.G.T)
 
         monkeypatch.setattr(kernel, "begin_outer", spy_begin_outer)
     else:
@@ -809,6 +806,35 @@ def test_sampling_solve_builds_the_misfit_operator_once_per_accepted_pair(monkey
     result = solve(spec, params, config)
     assert us[0] > len(result.records)  # some steps tried more than one U
     assert builds[0] == len(result.records) + 1
+
+
+def test_sampling_solve_transposes_the_misfit_operator_once_per_accepted_pair(
+        monkeypatch):
+    # every G^T U of a step's retries and the residual's G^T U read the one
+    # G^T formed next to G, where a scipy sparse G.T builds a new array
+    spec = _sampling_spec(NonnegIndicator())
+    params = RelaxationParams.from_alpha(0.6)
+    config = SolverConfig(scheme="prox_linear", max_iters=30, seed=0)
+    misfit_operator, transposes = spec.map.misfit_operator, [0]
+
+    class CountingG:
+        def __init__(self, G):
+            self.G = G
+
+        def __matmul__(self, W):
+            return self.G @ W
+
+        @property
+        def T(self):
+            transposes[0] += 1
+            return self.G.T
+
+    monkeypatch.setattr(spec.map, "misfit_operator",
+                        lambda *args, **kwargs: CountingG(misfit_operator(*args, **kwargs)))
+    result = solve(spec, params, config)
+    # some steps tried more than one U
+    assert sum(rec.inner_iterations for rec in result.records) > len(result.records)
+    assert transposes[0] == len(result.records) + 1
 
 
 def _sampling_spec(reg):
