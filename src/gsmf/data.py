@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import gzip
 import logging
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _checks
 
 log = logging.getLogger("gsmf")
 
@@ -45,18 +45,11 @@ class DatasetRecipe:
         if self.source not in ("synthetic", "file"):
             raise ValueError(f"unknown dataset source {self.source!r}")
         for name in ("n", "m", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            object.__setattr__(self, name,
+                               _checks.integer(name, getattr(self, name), 0))
         for name in ("normalize", "symmetrize_noise"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if isinstance(self.noise_t, bool) or not isinstance(self.noise_t, numbers.Real):
-            raise ValueError(f"noise_t must be a real number, got {self.noise_t!r}")
-        if not (math.isfinite(self.noise_t) and self.noise_t >= 0):
-            raise ValueError(f"noise_t must be finite and >= 0, got {self.noise_t}")
+            object.__setattr__(self, name, _checks.flag(name, getattr(self, name)))
+        object.__setattr__(self, "noise_t", _checks.real("noise_t", self.noise_t, 0))
         if self.source == "synthetic" and (self.n < 1 or self.m < 1):
             raise ValueError("synthetic datasets need n >= 1 and m >= 1")
         if self.source == "file" and not self.path:

@@ -11,21 +11,14 @@ numerically.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import operators
+from . import _checks, operators
 from .operators import LinearMap
 from .regularizers import NonnegIndicator, Regularizer
-
-
-def _check_real(name, value):
-    """Reject a value that is not a real number; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,16 +36,11 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         for name in ("n", "r"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.r < 1:
-            raise ValueError(f"rank r={self.r} must be >= 1")
+            object.__setattr__(self, name,
+                               _checks.integer(name, getattr(self, name), 1))
         if self.r > self.n:
             raise ValueError(f"rank r={self.r} exceeds n={self.n}")
-        _check_real("lambda", self.lam)
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        object.__setattr__(self, "lam", _checks.real("lambda", self.lam, 0))
         if self.map.n != self.n:
             raise ValueError(f"map is for n={self.map.n}, spec has n={self.n}")
         if self.b.shape != (self.map.q,):
@@ -98,11 +86,7 @@ class RelaxationParams:
 
     def __post_init__(self):
         for name in ("alpha", "gamma"):
-            _check_real(name, getattr(self, name))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        if not (math.isfinite(self.alpha) and math.isfinite(self.gamma)):
-            raise ValueError(f"alpha and gamma must be finite, got alpha={self.alpha}, "
-                             f"gamma={self.gamma}")
+            object.__setattr__(self, name, _checks.real(name, getattr(self, name)))
         gmin = operators.gamma_min(self.alpha, self.beta)
         if self.gamma < gmin - 1e-12:
             raise ValueError(f"gamma={self.gamma} below admissible minimum {gmin}")
@@ -118,7 +102,7 @@ class RelaxationParams:
     @classmethod
     def from_alpha(cls, alpha, gamma=None):
         """The relaxation at alpha; gamma defaults to its admissible minimum."""
-        _check_real("alpha", alpha)
+        alpha = _checks.real("alpha", alpha)
         if gamma is None:
             gamma = operators.gamma_min(alpha, _beta(alpha))
         return cls(alpha=alpha, gamma=gamma)
@@ -249,7 +233,7 @@ def snmf_spec(M, r, lam, psi=None, phi=None) -> ProblemSpec:
         b=amap.apply(M),
         psi=psi if psi is not None else NonnegIndicator(),
         phi=phi if phi is not None else NonnegIndicator(),
-        lam=float(lam),
+        lam=lam,
         n=n,
         r=r,
     )

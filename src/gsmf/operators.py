@@ -9,9 +9,9 @@ inverse ``(alpha I + beta A* A)^{-1}`` and for the scalars ``rho`` and
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
+
+from . import _checks
 
 
 # uniforms per rng.random call of random_symmetric_omega (512 KB of float64)
@@ -25,15 +25,6 @@ _GATHER_BLOCK = 1 << 14
 
 class DimensionMismatchError(ValueError):
     """An input matrix or vector does not match the map's shapes."""
-
-
-def _check_size(n):
-    """n as an int, after checking that it is an integer >= 1 (not a bool)."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return int(n)
 
 
 def _mul_thin(A, W):
@@ -121,7 +112,7 @@ class FullVectorization(LinearMap):
     """Column-major vectorization of an n-by-n matrix; q = n^2."""
 
     def __init__(self, n):
-        self.n = _check_size(n)
+        self.n = _checks.integer("n", n, 1)
         self.q = self.n * self.n
 
     def apply(self, U):
@@ -189,7 +180,7 @@ class SymmetricSampling(LinearMap):
     """
 
     def __init__(self, n, omega):
-        self.n = n = _check_size(n)
+        self.n = n = _checks.integer("n", n, 1)
         if not isinstance(omega, np.ndarray):
             omega = list(omega)
         if len(omega) == 0:
@@ -315,10 +306,8 @@ def random_symmetric_omega(n, density, rng):
     sorted (column-major), that can be fed directly to
     :class:`SymmetricSampling`.
     """
-    n = _check_size(n)
-    if (isinstance(density, bool) or not isinstance(density, numbers.Real)
-            or not 0 <= density <= 1):
-        raise ValueError(f"density must be a number in [0, 1], got {density!r}")
+    n = _checks.integer("n", n, 1)
+    density = _checks.real("density", density, 0, 1)
     # one uniform per upper-triangle entry (i, j >= i), row by row: the stream
     # of a pairwise loop over i <= j.  Each float64 uniform takes its own draw
     # from the generator's stream, so the blocks of rng.random calls need not

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _checks
 
 
 class Regularizer:
@@ -31,12 +32,8 @@ class Regularizer:
     def __post_init__(self):
         """A dataclass subclass's fields are finite real numbers >= 0."""
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not (math.isfinite(value) and value >= 0)):
-                raise ValueError(f"{field.name} must be a finite real number >= 0, "
-                                 f"got {value!r}")
-            setattr(self, field.name, float(value))
+            value = _checks.real(field.name, getattr(self, field.name), 0)
+            setattr(self, field.name, value)
 
     def eval(self, X) -> float:
         raise NotImplementedError

@@ -17,12 +17,11 @@ that budget signals an implementation bug and raises.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics
+from . import _checks, diagnostics
 # a global of this module: step and begin_outer look it up here, where the
 # benchmark's tracer wraps it as solver.spectral_norm_sq
 from .diagnostics import spectral_norm_sq
@@ -75,27 +74,22 @@ class SolverConfig:
     def __post_init__(self):
         for name, least in (("window", 1), ("consec_required", 1), ("max_iters", 0),
                             ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ConfigError(f"{name} must be >= {least}")
+            object.__setattr__(self, name, _checks.integer(
+                name, getattr(self, name), least, error=ConfigError))
+        # inf means "no limit" for sigma's cap and the time budget, and for
+        # tol, where every change counts as small
+        no_limit = ("sigma_max0", "max_time_sec", "tol")
         for name in ("p_const", "mu_min", "sigma_min", "sigma_max0", "tau", "c",
                      "tol", "max_time_sec"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or math.isnan(value)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            # inf means "no limit" for sigma's cap and the time budget, and
-            # for tol, where every change counts as small
-            if value == math.inf and name not in ("sigma_max0", "max_time_sec", "tol"):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
-            if value <= 0 and name in ("mu_min", "c", "tol"):
+            least = 0 if name == "max_time_sec" else -math.inf
+            object.__setattr__(self, name, _checks.real(
+                name, getattr(self, name), least, inf=name in no_limit,
+                error=ConfigError))
+        for name in ("mu_min", "c", "tol"):
+            if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-            if value < 0 and name == "max_time_sec":
-                raise ConfigError(f"{name} must be >= 0")
-        if not isinstance(self.audit, (bool, np.bool_)):
-            raise ConfigError(f"audit must be a bool, got {self.audit!r}")
+        object.__setattr__(self, "audit",
+                           _checks.flag("audit", self.audit, error=ConfigError))
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.line_search not in LINE_SEARCHES:
@@ -363,7 +357,7 @@ def _solve_rxr(A, rhs):
 
 def update_u(scheme, spec, params, X_k, Y_k, Z_k, mu):
     """Candidate U block for one scheme, given the auxiliary block Z_k."""
-    if mu <= 0:
+    if _checks.real("mu", mu) <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     _check_scheme(scheme, spec)
     X, Y = spec.check_shapes(X_k, Y_k, ("X_k", "Y_k"))
@@ -373,7 +367,7 @@ def update_u(scheme, spec, params, X_k, Y_k, Z_k, mu):
 
 def update_v(scheme, spec, params, U, Y_k, Z_k, sigma):
     """Candidate V block for one scheme, given U and the auxiliary block Z_k."""
-    if sigma <= 0:
+    if _checks.real("sigma", sigma) <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     _check_scheme(scheme, spec)
     U, Y = spec.check_shapes(U, Y_k, ("U", "Y_k"))

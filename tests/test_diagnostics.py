@@ -218,6 +218,21 @@ def test_relaxation_consistency_small_on_random_points():
             assert relaxation_consistency(spec, params, X, Y) <= 1e-10 * (1 + abs(f))
 
 
+def test_relaxation_identity_holds_to_roundoff_for_a_float32_alpha():
+    # beta computed in float32 breaks 1/alpha + 1/beta = 1 by ~1e-7
+    rng = np.random.default_rng(11)
+    omega = random_symmetric_omega(6, 0.4, rng)
+    params = RelaxationParams.from_alpha(np.float32(0.6))
+    for amap in (FullVectorization(6), SymmetricSampling(6, omega)):
+        spec = ProblemSpec(amap, rng.standard_normal(amap.q), Zero(), Zero(),
+                           0.3, 6, 2)
+        for _ in range(5):
+            X = rng.standard_normal((6, 2))
+            Y = rng.standard_normal((6, 2))
+            gap = relaxation_consistency(spec, params, X, Y)
+            assert gap <= 1e-14 * f_lambda(spec, X, Y)
+
+
 def test_relaxation_consistency_exact_zero_in_trivial_case():
     amap = FullVectorization(4)
     spec = ProblemSpec(amap, np.zeros(16), Zero(), Zero(), 0.0, 4, 2)

@@ -56,15 +56,15 @@ def test_problem_spec_rejects_nonfinite_b():
 
 
 def test_problem_spec_rejects_rank_below_one():
-    with pytest.raises(ValueError, match="rank r=0 must be >= 1"):
+    with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
         snmf_spec(np.eye(3), 0, 0.0)
-    with pytest.raises(ValueError, match="rank r=-1 must be >= 1"):
+    with pytest.raises(ValueError, match="^r must be >= 1, got -1$"):
         ProblemSpec(FullVectorization(3), np.zeros(9), Zero(), Zero(), 0.0, n=3, r=-1)
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("lam", math.nan, "lambda must be finite and >= 0"),
-    ("lam", math.inf, "lambda must be finite and >= 0"),
+    ("lam", math.nan, "lambda must be a real number, got nan$"),
+    ("lam", math.inf, "lambda must be finite, got inf$"),
     ("lam", True, "lambda must be a real number, got True"),
     ("lam", "1", "lambda must be a real number, got '1'"),
     ("lam", None, "lambda must be a real number, got None"),
@@ -72,12 +72,18 @@ def test_problem_spec_rejects_rank_below_one():
     ("r", 2.0, "r must be an integer"),
     ("r", True, "r must be an integer"),
     ("n", 3.0, "n must be an integer"),
+    # snmf_spec passes lambda to ProblemSpec as it is given
+    ("snmf_spec lam", "1", "lambda must be a real number, got '1'$"),
+    ("snmf_spec lam", True, "lambda must be a real number, got True$"),
 ])
 def test_problem_spec_rejects_an_unusable_value(field, value, message):
     fields = dict(map=FullVectorization(3), b=np.zeros(9), psi=Zero(), phi=Zero(),
                   lam=1.0, n=3, r=2)
     with pytest.raises(ValueError, match=f"^{message}"):
-        ProblemSpec(**{**fields, field: value})
+        if field == "snmf_spec lam":
+            snmf_spec(np.eye(3), 2, value)
+        else:
+            ProblemSpec(**{**fields, field: value})
 
 
 def test_snmf_spec_rejects_a_fractional_rank():
@@ -119,10 +125,11 @@ def test_relaxation_params_validation():
         RelaxationParams(alpha=0.6, gamma=0.0)
     with pytest.raises(ValueError, match="alpha"):
         RelaxationParams.from_alpha(1.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="must be finite"):
+    for bad, rule in ((math.nan, "a real number"), (math.inf, "finite"),
+                      (-math.inf, "finite")):
+        with pytest.raises(ValueError, match=f"^alpha must be {rule}, got {bad}$"):
             RelaxationParams.from_alpha(bad)
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=f"^gamma must be {rule}, got {bad}$"):
             RelaxationParams.from_alpha(0.6, gamma=bad)
 
 
@@ -201,6 +208,15 @@ def test_full_map_objective_holds_no_n_by_n_array():
             tracemalloc.stop()
         arrays = peak / (n * n * 8)
         assert arrays < 0.5, f"{objective.__name__} peaked at {arrays:.2f} n-by-n arrays"
+
+
+def test_f_lambda_is_a_python_float_for_a_numpy_lambda():
+    # a float32 lambda would carry the objective in float32
+    rng = np.random.default_rng(2)
+    spec = ProblemSpec(FullVectorization(4), rng.standard_normal(16), Zero(), Zero(),
+                       np.float32(1.0), n=4, r=2)
+    f = f_lambda(spec, rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
+    assert type(f) is float
 
 
 def test_f_lambda_infinite_when_infeasible():

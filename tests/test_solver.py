@@ -65,9 +65,9 @@ def test_config_rejects_bad_values():
             SolverConfig(line_search=line_search, window=0)
     with pytest.raises(ConfigError, match="tol"):
         SolverConfig(tol=0.0)
-    with pytest.raises(ConfigError, match="^max_iters must be >= 0$"):
+    with pytest.raises(ConfigError, match="^max_iters must be >= 0, got -3$"):
         SolverConfig(max_iters=-3)
-    with pytest.raises(ConfigError, match="^seed must be >= 0$"):
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
         SolverConfig(seed=-1)
     assert SolverConfig(max_iters=0).max_iters == 0
 
@@ -87,12 +87,14 @@ def test_config_rejects_a_non_bool_audit(value):
 
 
 def test_config_accepts_a_numpy_bool_audit():
-    assert SolverConfig(audit=np.True_).audit and not SolverConfig(audit=np.False_).audit
+    assert SolverConfig(audit=np.True_).audit is True
+    assert SolverConfig(audit=np.False_).audit is False
 
 
 @pytest.mark.parametrize("field", ["window", "consec_required", "max_iters", "seed"])
 def test_config_accepts_numpy_integers(field):
-    assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
+    value = getattr(SolverConfig(**{field: np.int64(3)}), field)
+    assert type(value) is int and value == 3
 
 
 _FLOAT_FIELDS = ("p_const", "mu_min", "sigma_min", "sigma_max0", "tau", "c", "tol",
@@ -106,7 +108,8 @@ _NO_LIMIT = ("sigma_max0", "max_time_sec", "tol")  # inf means "no limit"
     ("tol", "1e-9"),
 ])
 def test_config_rejects_a_non_finite_number(field, value):
-    with pytest.raises(ConfigError, match=f"^{field} must be (a number|finite), got"):
+    rule = f"^{field} must be (a real number|finite), got"
+    with pytest.raises(ConfigError, match=rule):
         SolverConfig(**{field: value})
 
 
@@ -122,7 +125,8 @@ def test_config_is_frozen_and_replace_checks_again(field, value):
 
 @pytest.mark.parametrize("value", [-1.0, -1e-300, -math.inf])
 def test_config_rejects_a_negative_time_limit(value):
-    with pytest.raises(ConfigError, match="^max_time_sec must be >= 0$"):
+    rule = f"^max_time_sec must be >= 0, got {value!r}$"
+    with pytest.raises(ConfigError, match=rule):
         SolverConfig(max_time_sec=value)
 
 
@@ -308,6 +312,19 @@ def test_update_rejects_nonpositive_parameters():
             update_v("prox_linear", spec, params, B, B, bad, 1.0)
 
 
+@pytest.mark.parametrize("update, name", [(update_u, "mu"), (update_v, "sigma")])
+@pytest.mark.parametrize("step, rule", [
+    (math.nan, "a real number"), ("2", "a real number"), (True, "a real number"),
+    (math.inf, "finite"),
+])
+def test_update_names_a_bad_step(update, name, step, rule):
+    spec, B = planted(4, 2, 0)
+    params = RelaxationParams.from_alpha(0.6)
+    Z = z_star(spec, params, B, B)
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {step!r}$"):
+        update("prox_linear", spec, params, B, B, Z, step)
+
+
 # --------------------------------------------------------------------------
 # single steps
 # --------------------------------------------------------------------------
@@ -391,6 +408,15 @@ def test_average_mode_reference_matches_the_rule(p_const):
         rec = step(state, spec, params, config)
         assert rec.ref_value == (1.0 - p_const) * R_prev + p_const * rec.f_value
         R_prev = rec.ref_value
+
+
+def test_average_mode_reference_is_a_python_float_for_a_numpy_p_const():
+    # a float32 p_const would carry every R in float32
+    spec, _ = planted(12, 3, 6)
+    config = SolverConfig(line_search="average", p_const=np.float32(0.2), max_iters=20)
+    result = solve(spec, RelaxationParams.from_alpha(0.6), config)
+    assert result.records
+    assert all(type(rec.ref_value) is float for rec in result.records)
 
 
 # --------------------------------------------------------------------------
