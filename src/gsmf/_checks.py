@@ -23,16 +23,23 @@ def integer(name, value, least, error=ValueError):
 def real(name, value, least=-math.inf, most=math.inf, inf=False, error=ValueError):
     """value as a float, after checking that it is a real number in
     [least, most]; +inf passes only if ``inf``, where it means no limit."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or math.isnan(value)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        # not printed: a huge int's repr can itself raise
+        raise error(f"{name} must be a real number within float range, got an "
+                    f"out-of-range {type(value).__name__}") from None
+    if math.isnan(x):
         raise error(f"{name} must be a real number, got {value!r}")
     if value < least:
         raise error(f"{name} must be >= {least}, got {value!r}")
     if value > most:
         raise error(f"{name} must be <= {most}, got {value!r}")
-    if math.isinf(value) and not (inf and value > 0):
+    if math.isinf(x) and not (inf and x > 0):
         raise error(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return x
 
 
 def flag(name, value, error=ValueError):

@@ -156,10 +156,11 @@ class _Kernel:
     the target M and the Gram cache, never forming X Y^T or Z.  On any other
     map it forms the dense Z once per outer iteration, for Z Y alone; the V
     block reads ``Z^T U = Y (X^T U) - c G^T U``, c = beta/(alpha+beta), from
-    the map's misfit operator G at (X, Y).  G and its transpose are built
-    once per accepted pair (by the residual, which needs both there too)
-    and reused by the next outer iteration and all of its retries;
-    ``G^T U`` costs O(|Omega| r) on the sampling map.  Every n-by-n times n-by-r
+    the map's misfit operator G at (X, Y); ``G^T U`` costs O(|Omega| r) on
+    the sampling map.  One slot hands an outer iteration's start product
+    over from the last: :meth:`gradients` records the accepted pair with
+    the one product it formed there (M V on the full map, G on any other),
+    and :meth:`begin_outer` reuses it as M Y or G.  Every n-by-n times n-by-r
     product (most of the time of an outer iteration) goes through
     ``_mul_thin``, its fastest orientation.
     """
@@ -173,13 +174,13 @@ class _Kernel:
         a, b = params.alpha, params.beta
         self.az = a / (a + b)
         self.bz = b / (a + b)
-        # M V for the last accepted V, which the next begin_outer reuses as M Y
-        self._V = self._MV = None
+        # (U, V, P) for the last accepted pair and the product gradients
+        # formed there: P = M V on the full map, G on any other
+        self._accepted = None
         # sigma-only retries reuse the last U's U^T U and Z^T U
         self._U = self._UtU = self._ZtU = None
-        # off the full map: the last candidate's misfit, Z at (X, Y), and
-        # the misfit operator G (with G^T) and the pair it was built at
-        self._misfit = self.Z = self.G = self._G_at = None
+        # off the full map: the last candidate's misfit, Z and G at (X, Y)
+        self._misfit = self.Z = self.G = None
         self.cache = (GramCache(spec.map.adjoint(spec.b))
                       if isinstance(spec.map, FullVectorization) else None)
         _check_scheme(config.scheme, spec)
@@ -191,23 +192,25 @@ class _Kernel:
         self.Y = Y
         self.Gy = Y.T @ Y
         self._U = None
+        at = self._accepted
+        # the product gradients formed at the accepted pair, if (X, Y) is it
+        held = at[2] if at is not None and at[0] is X and at[1] is Y else None
         if self.cache is not None:
             # Z Y without forming Z:  Z = az * X Y^T + bz * M
-            MY = self._MV if Y is self._V else _mul_thin(self.cache.M, Y)
+            MY = _mul_thin(self.cache.M, Y) if held is None else held
             self.ZY = self.az * (X @ self.Gy) + self.bz * MY
         else:
             # Z is read only here, but it is dropped only now, just before
             # z_star forms the next: the new Z then takes the freed block.
             # Freed earlier, the step's small arrays split that block and
-            # the next Z grows the heap by an n-by-n array.
-            self.Z = None
+            # the next Z grows the heap by an n-by-n array.  The last
+            # step's G goes with it; the slot holds the accepted pair's.
+            self.Z = self.G = None
             self.Z = z_star(self.spec, self.params, X, Y)
             self.ZY = _mul_thin(self.Z, Y)
-            # G at (X, Y) is the one gradients built for the accepted pair;
-            # only the first step builds it, after Z for the same reason
-            at = self._G_at
-            if at is None or at[0] is not X or at[1] is not Y:
-                self._build_g(X, Y)
+            # only the first step builds G, after Z for the same reason
+            self.G = (self.spec.map.misfit_operator(X, Y, self.spec.b)
+                      if held is None else held)
         self.ynorm2 = spectral_norm_sq(Y)
 
     # -- blocks -------------------------------------------------------------
@@ -235,25 +238,20 @@ class _Kernel:
 
         On the matrix-free path ``M^T U`` comes from ``update_v`` and the
         Gram matrices from the cache :meth:`objective` refreshed for
-        (U, V); the one new product ``M V`` is kept for the next
-        :meth:`begin_outer`.  Off the full map they come from the misfit
-        operator G built from the misfit :meth:`objective` formed for
-        (U, V), which the next :meth:`begin_outer` reuses.
+        (U, V); the one new product is ``M V``.  Off the full map they come
+        from the misfit operator G, built from the misfit :meth:`objective`
+        formed for (U, V).  The pair and that one product are recorded for
+        the next :meth:`begin_outer`, which reuses the product.
         """
         if self.cache is None:
-            self._build_g(U, V, self._misfit)
-            return diagnostics.gradients(self.spec, U, V, G=self.G)
+            G = self.spec.map.misfit_operator(U, V, self.spec.b, misfit=self._misfit)
+            self._accepted = U, V, G
+            return diagnostics.gradients(self.spec, U, V, G=G)
         cache = self.cache
-        self._V, self._MV = V, _mul_thin(cache.M, V)
+        MV = _mul_thin(cache.M, V)
+        self._accepted = U, V, MV
         D = self.spec.lam * (U - V)
-        return U @ cache.VtV - self._MV + D, V @ cache.UtU - cache.MtU - D
-
-    def _build_g(self, X, Y, misfit=None):
-        """The misfit operator G at (X, Y), with its transpose formed here,
-        once: a scipy sparse ``G.T`` builds a new array on every read."""
-        self.G = _WithTranspose(self.spec.map.misfit_operator(
-            X, Y, self.spec.b, misfit=misfit))
-        self._G_at = X, Y
+        return U @ cache.VtV - MV + D, V @ cache.UtU - cache.MtU - D
 
     # -- objective ----------------------------------------------------------
 
@@ -283,16 +281,6 @@ class _Kernel:
             val = f_lambda(self.spec, U, V, misfit=self._misfit)
         self.f_err = _roundoff_bound(val, self.spec.bnorm)
         return val
-
-
-class _WithTranspose:
-    """An operator G whose ``T`` is ``G.T``, formed once."""
-
-    def __init__(self, G):
-        self.G, self.T = G, G.T
-
-    def __matmul__(self, W):
-        return self.G @ W
 
 
 def _check_scheme(scheme, spec):

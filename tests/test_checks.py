@@ -5,7 +5,7 @@ from gsmf.data import DatasetRecipe
 from gsmf.objective import ProblemSpec, RelaxationParams
 from gsmf.operators import FullVectorization, SymmetricSampling
 from gsmf.regularizers import L1, NonnegPlusL1, Zero
-from gsmf.solver import SolverConfig
+from gsmf.solver import ConfigError, SolverConfig
 
 # each constructor that reads scalar parameters, with valid values for the
 # fields that a row does not set
@@ -58,3 +58,24 @@ def test_a_numpy_scalar_reads_back_as_a_python_one(build, field, value):
     # computed from it: a float32 alpha makes beta float32
     got = getattr(_BUILD[build](**{field: value}), field)
     assert type(got) is _PYTHON_TYPE[type(value)] and got == value
+
+
+_HUGE_ROWS = [
+    ("SolverConfig", "tau", ConfigError, "tau"),
+    ("SolverConfig", "max_time_sec", ConfigError, "max_time_sec"),
+    ("RelaxationParams", "alpha", ValueError, "alpha"),
+    ("RelaxationParams.from_alpha", "alpha", ValueError, "alpha"),
+    ("ProblemSpec", "lam", ValueError, "lambda"),
+    ("L1", "weight", ValueError, "weight"),
+]
+
+
+@pytest.mark.parametrize("build, field, error, name", _HUGE_ROWS,
+                         ids=[f"{build}.{field}" for build, field, _, _ in _HUGE_ROWS])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_int_beyond_float_range_is_a_named_error(build, field, error, name, sign):
+    # float() of such an int raises OverflowError, which names no field
+    with pytest.raises(error, match=f"^{name} must be a real number within "
+                                    "float range") as exc:
+        _BUILD[build](**{field: sign * 10**400})
+    assert type(exc.value) is error

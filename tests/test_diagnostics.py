@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import logging
 import math
 
@@ -12,6 +13,7 @@ from gsmf.diagnostics import (
     relaxation_consistency,
     report,
     scheme_inclusion_residual,
+    spectral_norm_sq,
     stationarity_residual,
     symmetry_gap,
 )
@@ -251,6 +253,56 @@ def test_descent_audit_clean_run_and_fault_injection():
     corrupted = copy.deepcopy(result)
     corrupted.records[10].f_value += 1.0
     assert descent_audit(corrupted, spec, params, config) >= 1
+
+
+def _at_both_caps(result, params, config, k):
+    """``result`` with record k marked as accepted with mu and sigma at
+    their caps, ``coef ||Y_prev||^2 + c`` and ``coef ||x||^2 + c``."""
+    coef = params.alpha + 2.0 * params.gamma * params.rho
+    rec = result.records[k]
+    y_prev = result.records[k - 1].y if k else result.y0
+    mu = coef * spectral_norm_sq(y_prev) + config.c
+    sigma = coef * spectral_norm_sq(rec.x) + config.c
+    records = list(result.records)
+    records[k] = dataclasses.replace(rec, mu_bar=mu, mu_max=mu, sigma_bar=sigma,
+                                     sigma_max=sigma)
+    return dataclasses.replace(result, records=records)
+
+
+def test_descent_audit_checks_sufficient_descent_at_both_caps():
+    # at both caps the step must lower f by c/2 (dU^2 + dV^2), which the
+    # nonmonotone acceptance test alone does not ask
+    spec, _ = planted(12, 3, 12)
+    params = RelaxationParams.from_alpha(0.6)
+    config = SolverConfig(scheme="prox_linear", audit=True, max_iters=60, tol=1e-16)
+    result = solve(spec, params, config)
+    assert descent_audit(result, spec, params, config) == 0
+    f = [f_lambda(spec, result.x0, result.y0)] + [r.f_value for r in result.records]
+    prev = [(result.x0, result.y0)] + [(r.x, r.y) for r in result.records]
+    rise = max(range(len(result.records)), key=lambda k: f[k + 1] - f[k])
+    assert f[rise + 1] - f[rise] > 1e-6 * (1.0 + f[rise])  # accepted, f went up
+    assert descent_audit(_at_both_caps(result, params, config, rise),
+                         spec, params, config) == 1
+    margin = [f[k] - f[k + 1] - config.c / 2.0 * (
+        np.sum((r.x - prev[k][0]) ** 2) + np.sum((r.y - prev[k][1]) ** 2))
+        for k, r in enumerate(result.records)]
+    fall = max(range(len(result.records)), key=margin.__getitem__)
+    assert margin[fall] > 1e-6 * (1.0 + f[fall])
+    assert descent_audit(_at_both_caps(result, params, config, fall),
+                         spec, params, config) == 0
+
+
+def test_descent_audit_replays_the_max_reference():
+    # max mode: R is the largest of the last window + 1 values, so a step
+    # that raised f is accepted against it
+    spec, _ = planted(12, 3, 12)
+    params = RelaxationParams.from_alpha(0.6)
+    config = SolverConfig(scheme="prox_linear", line_search="max", audit=True,
+                          max_iters=60, tol=1e-16)
+    result = solve(spec, params, config)
+    f = [r.f_value for r in result.records]
+    assert any(b > a for a, b in zip(f, f[1:]))
+    assert descent_audit(result, spec, params, config) == 0
 
 
 def test_descent_audit_single_step_from_stationary_point():

@@ -654,21 +654,27 @@ def test_prox_linear_budget_covers_sigma_escalations():
     assert beyond_mu_budget > 0
 
 
+@pytest.mark.parametrize("sampling", [False, True])
 @pytest.mark.parametrize("scheme, alpha, mu_min, backtracks", [
     ("hierarchical", 0.6, 1.0, False),
     ("hierarchical", 0.2, 1.0, True),
     ("prox_linear", 0.6, 10.0, False),
     ("prox_linear", 0.6, 1.0, True),
 ])
-def test_shared_kernel_reuse_matches_fresh_steps(scheme, alpha, mu_min, backtracks):
-    # solve keeps one kernel and reuses the accepted M V as the next M Y;
-    # step without _kernel forms every product afresh
+def test_shared_kernel_reuse_matches_fresh_steps(scheme, alpha, mu_min, backtracks,
+                                                 sampling):
+    # solve keeps one kernel and reuses the product formed at the accepted
+    # pair (M V on the full map, the misfit operator G on the sampling map)
+    # in the next step; step without _kernel forms every product afresh
     from gsmf.solver import _Kernel
 
     params = RelaxationParams.from_alpha(alpha)
-    rng = np.random.default_rng(20)
-    B = rng.uniform(size=(25, 3))
-    spec = snmf_spec(B @ B.T + 0.1 * rng.uniform(size=(25, 25)), 3, 1.0)
+    if sampling:
+        spec = _sampling_spec(NonnegIndicator())
+    else:
+        rng = np.random.default_rng(20)
+        B = rng.uniform(size=(25, 3))
+        spec = snmf_spec(B @ B.T + 0.1 * rng.uniform(size=(25, 25)), 3, 1.0)
     config = SolverConfig(scheme=scheme, max_iters=40, tol=1e-16,
                           consec_required=41, seed=1, mu_min=mu_min,
                           sigma_min=mu_min)
@@ -683,8 +689,13 @@ def test_shared_kernel_reuse_matches_fresh_steps(scheme, alpha, mu_min, backtrac
     kern = _Kernel(spec, params, config)
     state = init_state(spec, config)
     step(state, spec, params, config, _kernel=kern)
-    assert kern._V is state.Y
-    assert np.array_equal(kern._MV, kern.cache.M @ state.Y)
+    X, Y, held = kern._accepted
+    assert X is state.X and Y is state.Y
+    if sampling:
+        G = spec.map.misfit_operator(state.X, state.Y, spec.b)
+        assert np.array_equal(held.toarray(), G.toarray())
+    else:
+        assert np.array_equal(held, kern.cache.M @ state.Y)
 
 
 @pytest.mark.parametrize("sampling", [False, True])
@@ -722,22 +733,25 @@ def test_sigma_only_retries_reuse_the_u_product(monkeypatch, sampling):
         return update_v(self, U, sigma)
 
     if sampling:
-        class SpyGt:
-            """G^T for the misfit operator G, counting ``G^T @ U`` for the
-            block's U."""
+        class SpyG:
+            """The misfit operator G, counting ``G.T @ U`` for the block's U."""
 
-            def __init__(self, Gt):
-                self.Gt = Gt
+            def __init__(self, G, transposed=False):
+                self.G, self.transposed = G, transposed
 
             def __matmul__(self, W):
-                u_products[0] += any(W is U for U in us)
-                return self.Gt @ W
+                u_products[0] += self.transposed and any(W is U for U in us)
+                return self.G @ W
+
+            @property
+            def T(self):
+                return SpyG(self.G.T, True)
 
         begin_outer = kernel.begin_outer
 
         def spy_begin_outer(self, X, Y):
             begin_outer(self, X, Y)
-            self.G.T = SpyGt(self.G.T)
+            self.G = SpyG(self.G)
 
         monkeypatch.setattr(kernel, "begin_outer", spy_begin_outer)
     else:
@@ -832,35 +846,6 @@ def test_sampling_solve_builds_the_misfit_operator_once_per_accepted_pair(monkey
     result = solve(spec, params, config)
     assert us[0] > len(result.records)  # some steps tried more than one U
     assert builds[0] == len(result.records) + 1
-
-
-def test_sampling_solve_transposes_the_misfit_operator_once_per_accepted_pair(
-        monkeypatch):
-    # every G^T U of a step's retries and the residual's G^T U read the one
-    # G^T formed next to G, where a scipy sparse G.T builds a new array
-    spec = _sampling_spec(NonnegIndicator())
-    params = RelaxationParams.from_alpha(0.6)
-    config = SolverConfig(scheme="prox_linear", max_iters=30, seed=0)
-    misfit_operator, transposes = spec.map.misfit_operator, [0]
-
-    class CountingG:
-        def __init__(self, G):
-            self.G = G
-
-        def __matmul__(self, W):
-            return self.G @ W
-
-        @property
-        def T(self):
-            transposes[0] += 1
-            return self.G.T
-
-    monkeypatch.setattr(spec.map, "misfit_operator",
-                        lambda *args, **kwargs: CountingG(misfit_operator(*args, **kwargs)))
-    result = solve(spec, params, config)
-    # some steps tried more than one U
-    assert sum(rec.inner_iterations for rec in result.records) > len(result.records)
-    assert transposes[0] == len(result.records) + 1
 
 
 def _sampling_spec(reg):
