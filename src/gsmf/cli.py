@@ -34,7 +34,7 @@ import yaml
 
 from . import data, diagnostics, operators, regularizers
 from .objective import ProblemSpec, RelaxationParams, f_lambda
-from .solver import STATUS_CONVERGED, SolverConfig, solve
+from .solver import STATUS_CONVERGED, AlgorithmInvariantError, SolverConfig, solve
 
 log = logging.getLogger("gsmf")
 
@@ -99,7 +99,14 @@ def _section(cfg, name):
 
 def load_config(path):
     with open(path) as fh:
-        cfg = yaml.safe_load(fh)
+        try:
+            cfg = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:  # its own text spans lines: made one here
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+            raise ConfigFileError(f"config file {path} is not valid YAML: "
+                                  f"{problem}{where}") from None
     if not isinstance(cfg, dict):
         raise ConfigFileError(f"config file {path} is not a mapping")
     _read(cfg, dict.fromkeys(SECTIONS, {}), "")  # each section is a mapping
@@ -472,7 +479,8 @@ def main(argv=None):
         if getattr(args, "seed", None) is not None and args.seed < 0:  # check has none
             raise ValueError(f"--seed: need a seed >= 0, got {args.seed}")
         return args.func(args)
-    except (ConfigFileError, ValueError, OSError) as exc:
+    except (ConfigFileError, ValueError, OSError, AlgorithmInvariantError) as exc:
+        log.debug("%s failed", args.command, exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

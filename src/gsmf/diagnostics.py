@@ -178,7 +178,6 @@ def descent_audit(result, spec: ProblemSpec, params: RelaxationParams,
     if any(r.x is None or r.y is None for r in records):
         raise ValueError("descent_audit needs a run produced with audit=True")
     violations = 0
-    coef = params.alpha + 2.0 * params.gamma * params.rho
     X_prev, Y_prev = result.x0, result.y0
     # f_prev: the objective recomputed at the previous record (or the start)
     R = f_prev = f_lambda(spec, X_prev, Y_prev)
@@ -199,8 +198,8 @@ def descent_audit(result, spec: ProblemSpec, params: RelaxationParams,
         )
         if at_caps:
             bound = (
-                -(rec.mu_bar - coef * spectral_norm_sq(Y_prev)) / 2.0 * dU2
-                - (rec.sigma_bar - coef * spectral_norm_sq(rec.x)) / 2.0 * dV2
+                -(rec.mu_bar - params.coef * spectral_norm_sq(Y_prev)) / 2.0 * dU2
+                - (rec.sigma_bar - params.coef * spectral_norm_sq(rec.x)) / 2.0 * dV2
             )
             ok = ok and (rec.f_value - f_prev <= bound + tol)
         if not ok:

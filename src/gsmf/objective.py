@@ -78,8 +78,10 @@ def _beta(alpha):
 
 @dataclass(frozen=True)
 class RelaxationParams:
-    """Relaxation scalars alpha and gamma; beta and rho follow from alpha
-    through 1/alpha + 1/beta = 1."""
+    """Relaxation scalars alpha and gamma, and all the solver derives from them,
+    computed once: beta (1/alpha + 1/beta = 1), rho, the Z weights az and bz
+    (alpha and beta over alpha + beta) and the caps' curvature coef = alpha +
+    2 gamma rho.  An alpha or gamma these cannot use is a ValueError naming it."""
 
     alpha: float
     gamma: float
@@ -87,17 +89,19 @@ class RelaxationParams:
     def __post_init__(self):
         for name in ("alpha", "gamma"):
             object.__setattr__(self, name, _checks.real(name, getattr(self, name)))
-        gmin = operators.gamma_min(self.alpha, self.beta)
+        a, b = self.alpha, _beta(self.alpha)
+        try:
+            rho = operators.rho(a, b)
+        except (ZeroDivisionError, OverflowError):
+            why = "alpha + beta rounds to 0" if a + b == 0 else "rho overflows"
+            raise ValueError(f"alpha={a} is out of range: {why}") from None
+        gmin = operators.gamma_min(a, b)
         if self.gamma < gmin - 1e-12:
             raise ValueError(f"gamma={self.gamma} below admissible minimum {gmin}")
-
-    @property
-    def beta(self) -> float:
-        return _beta(self.alpha)
-
-    @property
-    def rho(self) -> float:
-        return operators.rho(self.alpha, self.beta)
+        coef = a + 2.0 * self.gamma * rho
+        if math.isinf(coef):
+            raise ValueError(f"gamma={self.gamma} is out of range: coef overflows")
+        vars(self).update(beta=b, rho=rho, az=a / (a + b), bz=b / (a + b), coef=coef)
 
     @classmethod
     def from_alpha(cls, alpha, gamma=None):
@@ -151,15 +155,11 @@ def theta(spec: ProblemSpec, params: RelaxationParams, X, Y, Z) -> float:
 
 
 def z_star(spec: ProblemSpec, params: RelaxationParams, X, Y):
-    """Stationary auxiliary block:
-    ``X Y^T - beta/(alpha+beta) A*(A(X Y^T) - b)``.
-    """
+    """Stationary auxiliary block ``X Y^T - bz A*(A(X Y^T) - b)``, with
+    ``bz = beta/(alpha+beta)`` from ``params``."""
     X, Y = spec.check_shapes(X, Y)
-    a, b = params.alpha, params.beta
-    if a + b == 0:
-        raise ZeroDivisionError("alpha + beta must be nonzero")
     Z = X @ Y.T
-    spec.map.subtract_adjoint(Z, (b / (a + b)) * (spec.map.apply(Z) - spec.b))
+    spec.map.subtract_adjoint(Z, params.bz * (spec.map.apply(Z) - spec.b))
     return Z
 
 

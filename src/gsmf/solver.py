@@ -155,8 +155,8 @@ class _Kernel:
     On the full vectorization (symmetric NMF) it works matrix-free through
     the target M and the Gram cache, never forming X Y^T or Z.  On any other
     map it forms the dense Z once per outer iteration, for Z Y alone; the V
-    block reads ``Z^T U = Y (X^T U) - c G^T U``, c = beta/(alpha+beta), from
-    the map's misfit operator G at (X, Y); ``G^T U`` costs O(|Omega| r) on
+    block reads ``Z^T U = Y (X^T U) - bz G^T U`` (``params.bz``) from the
+    map's misfit operator G at (X, Y); ``G^T U`` costs O(|Omega| r) on
     the sampling map.  One slot hands an outer iteration's start product
     over from the last: :meth:`gradients` records the accepted pair with
     the one product it formed there (M V on the full map, G on any other),
@@ -171,9 +171,7 @@ class _Kernel:
         self.params = params
         self.config = config
         self.f_err = 0.0
-        a, b = params.alpha, params.beta
-        self.az = a / (a + b)
-        self.bz = b / (a + b)
+        self.az, self.bz = params.az, params.bz
         # (U, V, P) for the last accepted pair and the product gradients
         # formed there: P = M V on the full map, G on any other
         self._accepted = None
@@ -217,7 +215,7 @@ class _Kernel:
 
     def update_u(self, mu):
         return _block(self.config.scheme, self.spec, self.params.alpha, "U",
-                      self.spec.psi, self.X, self.Y, self.Gy, self.ZY, mu)
+                      self.spec.psi, self.X, self.Y, self.Gy, self.ZY, mu, trial=True)
 
     def update_v(self, U, sigma):
         if U is not self._U:
@@ -229,7 +227,7 @@ class _Kernel:
             else:
                 self._ZtU = self.Y @ (self.X.T @ U) - self.bz * (self.G.T @ U)
         return _block(self.config.scheme, self.spec, self.params.alpha, "V",
-                      self.spec.phi, self.Y, U, self._UtU, self._ZtU, sigma)
+                      self.spec.phi, self.Y, U, self._UtU, self._ZtU, sigma, trial=True)
 
     # -- stationarity --------------------------------------------------------
 
@@ -296,7 +294,7 @@ def _check_scheme(scheme, spec):
         raise ConfigError("hierarchical scheme needs column-separable regularizers")
 
 
-def _block(scheme, spec, alpha, name, reg, prev, other, G, ZO, step):
+def _block(scheme, spec, alpha, name, reg, prev, other, G, ZO, step, trial=False):
     """One block update; U and V are the same subproblem with roles swapped.
 
     The block W replaces ``prev`` and couples to ``other`` through
@@ -304,6 +302,9 @@ def _block(scheme, spec, alpha, name, reg, prev, other, G, ZO, step):
     proximal term ``(step/2)||W - prev||^2``; ``G = other^T other`` and
     ``ZO = Z other`` (``Z^T other`` for V).  The U block passes
     ("U", Psi, X, Y, Z Y, mu) and the V block ("V", Phi, Y, U, Z^T U, sigma).
+    A hierarchical column curvature <= 0 (only alpha < 0 gives one) is an
+    error, or with ``trial`` a rejected trial returned as None, after which
+    the line search raises the step.
     """
     lam = spec.lam
     if scheme == "prox_linear":
@@ -319,6 +320,8 @@ def _block(scheme, spec, alpha, name, reg, prev, other, G, ZO, step):
     for i in range(spec.r):
         d = alpha * G[i, i] + lam + step
         if d <= 0:
+            if trial:
+                return None
             raise AlgorithmInvariantError(
                 f"nonpositive column curvature {d} in hierarchical {name}-update"
             )
@@ -425,8 +428,7 @@ def step(state: SolverState, spec: ProblemSpec, params: RelaxationParams,
     kern = _kernel if _kernel is not None else _Kernel(spec, params, config)
     X, Y = state.X, state.Y
     kern.begin_outer(X, Y)
-    coef = params.alpha + 2.0 * params.gamma * params.rho
-    mu_max = coef * kern.ynorm2 + config.c
+    mu_max = params.coef * kern.ynorm2 + config.c
     mu = max(0.1 * state.mu_bar, config.mu_min)
     sigma = min(max(0.1 * state.sigma_bar, config.sigma_min), config.sigma_max0)
     budget = inner_iteration_budget(mu_max, config.mu_min, config.tau)
@@ -438,27 +440,33 @@ def step(state: SolverState, spec: ProblemSpec, params: RelaxationParams,
         if recompute_u:
             mu = min(mu, mu_max)
             U = kern.update_u(mu)
-        V = kern.update_v(U, sigma)
+        # None: a hierarchical block at a column curvature <= 0, a rejected
+        # trial; at its cap the curvature is at least lam + c > 0
+        V = None if U is None else kern.update_v(U, sigma)
+        if V is None and (mu == mu_max if U is None else sigma == sigma_max):
+            raise AlgorithmInvariantError(
+                "nonpositive column curvature in a hierarchical update at its cap")
         inner += 1
         if inner > budget:
             raise AlgorithmInvariantError(
                 f"line search exceeded its inner-iteration budget ({budget}) "
                 f"at outer iteration {state.k}"
             )
-        f_new = kern.objective(U, V)
-        dU2 = float(np.sum((U - X) ** 2))
-        dV2 = float(np.sum((V - Y) ** 2))
-        # slack at the roundoff floor of the two evaluations being compared:
-        # near a stationary point the guaranteed decrease is below what
-        # floating point resolves, and rejecting would loop to the budget
-        accept_slack = state.R_err + kern.f_err + 1e-15 * (1.0 + abs(state.R))
-        if not math.isinf(f_new) and (
-            f_new - state.R <= -(config.c / 2.0) * (dU2 + dV2) + accept_slack
-        ):
-            break
+        if V is not None:
+            f_new = kern.objective(U, V)
+            dU2 = float(np.sum((U - X) ** 2))
+            dV2 = float(np.sum((V - Y) ** 2))
+            # slack at the roundoff floor of the two evaluations being compared:
+            # near a stationary point the guaranteed decrease is below what
+            # floating point resolves, and rejecting would loop to the budget
+            accept_slack = state.R_err + kern.f_err + 1e-15 * (1.0 + abs(state.R))
+            if not math.isinf(f_new) and (
+                f_new - state.R <= -(config.c / 2.0) * (dU2 + dV2) + accept_slack
+            ):
+                break
         if mu == mu_max:
             if math.isnan(sigma_max):
-                sigma_max = coef * spectral_norm_sq(U) + config.c
+                sigma_max = params.coef * spectral_norm_sq(U) + config.c
                 budget = max(budget, inner + _escalations(
                     sigma, sigma_max, config.tau))
             sigma = min(config.tau * sigma, sigma_max)

@@ -1,12 +1,16 @@
+import contextlib
+import copy
 import csv
 import dataclasses
 import gzip
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +19,8 @@ import yaml
 
 import gsmf
 from gsmf import diagnostics
-from gsmf.cli import TRACE_HEADER, build_recipe, build_spec, load_config, main
+from gsmf.cli import (SECTIONS, TRACE_HEADER, build_recipe, build_spec, load_config,
+                      main)
 from gsmf.data import DatasetRecipe, MatrixFileError, gen_data, load_matrix, save_matrix
 from gsmf.objective import RelaxationParams, snmf_spec
 from gsmf.operators import FullVectorization, random_symmetric_omega
@@ -1003,3 +1008,102 @@ def test_cli_check_writes_to_output_dir(tmp_path, capsys, monkeypatch):
 def test_cli_missing_config_file_is_an_error(tmp_path, capsys):
     code = main(["solve", "--config", str(tmp_path / "nope.yaml")])
     assert code == 1
+
+
+# --------------------------------------------------------------------------
+# failures deep in a solve are one error line
+# --------------------------------------------------------------------------
+
+
+def test_cli_yaml_syntax_error_is_one_error_line_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text("relaxation: {alpha: 0.6}\nsolver: [\n")
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config file {path} is not valid YAML: expected the node content, "
+        "but found '<stream end>' at line 3, column 1"]
+
+
+def test_cli_reports_a_solver_invariant_failure_as_one_error_line(tmp_path, capsys,
+                                                                  caplog):
+    # with a huge c the budget, exact in exact arithmetic, is exceeded in floats
+    cfg_path = write_config(tmp_path, base_config(**{"solver.c": 1e300,
+                                                     "solver.max_iters": 5}))
+    with caplog.at_level("DEBUG", logger="gsmf"):
+        code = main(["solve", "--config", cfg_path, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line search exceeded its inner-iteration budget (1002) at outer "
+        "iteration 1"]
+    # the traceback is logged at DEBUG (GSMF_LOG=DEBUG)
+    assert "AlgorithmInvariantError" in caplog.text
+    assert caplog.records[-1].exc_info is not None
+
+
+# each numeric or flag field of the sections a solve reads, and gamma
+_PROPERTY_FIELDS = [
+    (section, name) for section in ("dataset", "problem", "relaxation", "solver")
+    for name, default in SECTIONS[section].items()
+    if default in (int, float) or isinstance(default, (bool, int, float))
+] + [("relaxation", "gamma")]
+_PROPERTY_POOL = [0, -1, 5e-324, -5e-324, math.nextafter(1.0, 2.0),
+                  math.nextafter(1.0, 0.0), 1e-300, 1e300, math.nan, math.inf,
+                  -math.inf, True, "x", [1], 10**400]
+
+
+def _property_values(field):
+    """The pool, less the values that set a run length, not a boundary: a
+    larger max_iters, and a tau just above 1, at which the line search's
+    budget of mu escalations, log(mu_max/mu_min)/log(tau), runs to ~1e16
+    trials in one outer iteration (a hang, recorded in CHANGES.md)."""
+    if field == ("solver", "max_iters"):
+        return [v for v in _PROPERTY_POOL
+                if not isinstance(v, (int, float)) or v <= 5]
+    if field == ("solver", "tau"):
+        return [v for v in _PROPERTY_POOL
+                if not isinstance(v, (int, float)) or not 1 < v < 1.001]
+    return _PROPERTY_POOL
+
+
+def test_cli_main_fails_only_with_one_error_line(tmp_path):
+    """Whatever boundary values a config holds, `gsmf solve` exits 0 or 2, or
+    exits 1 with exactly one `error:` line; no exception escapes main."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    base = {"dataset": {"n": 8, "m": 2, "seed": 1}, "problem": {"rank": 2},
+            "relaxation": {"alpha": 0.6}, "solver": {"max_iters": 5}}
+    base_text = yaml.safe_dump(base)
+
+    def document(scheme, fields):
+        cfg = copy.deepcopy(base)
+        cfg["solver"]["scheme"] = scheme
+        for (section, name), value in fields:
+            cfg[section][name] = value
+        return yaml.safe_dump(cfg)
+
+    documents = st.builds(
+        document, st.sampled_from(["hierarchical", "prox_linear"]),
+        st.lists(st.sampled_from(_PROPERTY_FIELDS).flatmap(
+            lambda f: st.tuples(st.just(f), st.sampled_from(_property_values(f)))),
+            min_size=1, max_size=3))
+    malformed = st.one_of(
+        st.integers(0, len(base_text)).map(lambda k: base_text[:k] + "solver: [\n"),
+        st.sampled_from(["{", "a: b: c\n", "\tsolver: {}\n", "- [\n",
+                         "relaxation: *x\n"]))
+    path, out = tmp_path / "config.yaml", str(tmp_path / "out")
+
+    @hyp.settings(max_examples=1200, derandomize=True, deadline=None, database=None)
+    @hyp.given(st.one_of(documents, malformed))
+    def check(text):
+        path.write_text(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("ignore")
+            code = main(["solve", "--config", str(path), "--out", out])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2) or (
+            code == 1 and sum(line.startswith("error: ") for line in lines) == 1
+            and "Traceback" not in err.getvalue()), (code, text, lines)
+
+    check()

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -141,6 +142,29 @@ def test_from_alpha_derives_consistent_scalars():
         assert p.gamma >= 0.0
         # with 1/alpha + 1/beta = 1, alpha + beta = alpha * beta
         assert p.alpha + p.beta == pytest.approx(p.alpha * p.beta, rel=1e-12)
+
+
+# unchecked, each builds and solve then raises ZeroDivisionError or OverflowError
+@pytest.mark.parametrize("alpha, why", [
+    (1e-17, "alpha + beta rounds to 0"), (1e-300, "alpha + beta rounds to 0"),
+    (5e-324, "alpha + beta rounds to 0"), (-5e-324, "alpha + beta rounds to 0"),
+    (1.4e154, "rho overflows"), (1e300, "rho overflows"), (-1e300, "rho overflows"),
+])
+def test_relaxation_params_rejects_an_alpha_solve_cannot_use(alpha, why):
+    with pytest.raises(ValueError, match="^" + re.escape(f"alpha={alpha!r} is out of "
+                                                         f"range: {why}") + "$"):
+        RelaxationParams.from_alpha(alpha)
+
+
+def test_relaxation_params_rejects_a_gamma_whose_cap_curvature_overflows():
+    # unchecked, it builds and solve then raises OverflowError
+    with pytest.raises(ValueError, match=r"^gamma=1e\+308 is out of range: coef "
+                                         "overflows$"):
+        RelaxationParams(alpha=0.6, gamma=1e308)
+
+
+def test_relaxation_params_builds_at_the_largest_alpha_rho_admits():
+    assert RelaxationParams.from_alpha(1e154).rho == 1.0
 
 
 def test_f_lambda_zero_at_exact_factorization():

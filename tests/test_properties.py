@@ -3,6 +3,7 @@ correction against the dense oracle; the adjoint identity, the partial
 isometry, the relaxation identity Theta(X, Y, z*(X, Y)) = F(X, Y), and each
 map's apply on C-, F- and non-contiguous matrices."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -225,3 +226,23 @@ def test_adjoint_identity_and_partial_isometry(kind, n, seed, density):
     lhs, rhs = float(amap.apply(U) @ v), float(np.sum(U * amap.adjoint(v)))
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + np.abs(U).sum() * np.abs(v).max())
     assert np.array_equal(amap.apply(amap.adjoint(v)), v)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False).filter(lambda a: a not in (0, 1)))
+def test_relaxation_params_derives_the_scalars_of_the_old_formulas(alpha):
+    """Each derived scalar is, bit for bit, the float its formula gave before
+    RelaxationParams computed it; an alpha at which a formula raised is a
+    ValueError naming alpha."""
+    try:
+        beta = alpha / (alpha - 1.0)
+        rho = max(1.0, alpha**2 / (alpha + beta) ** 2)
+        az, bz = alpha / (alpha + beta), beta / (alpha + beta)
+    except (ZeroDivisionError, OverflowError):
+        with pytest.raises(ValueError, match=f"^alpha={re.escape(repr(alpha))} is out of"):
+            RelaxationParams.from_alpha(alpha)
+        return
+    gamma = max(0.0, -alpha, -(alpha + beta))
+    p = RelaxationParams.from_alpha(alpha)
+    assert (p.beta, p.rho, p.az, p.bz, p.coef, p.gamma) == (
+        beta, rho, az, bz, alpha + 2.0 * gamma * rho, gamma)

@@ -312,6 +312,52 @@ def test_update_rejects_nonpositive_parameters():
             update_v("prox_linear", spec, params, B, B, bad, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [1e-16, 1e-15, math.nextafter(1.0, 2.0),
+                                   math.nextafter(1.0, 0.0), 1e150, -1e8, -0.5])
+@pytest.mark.parametrize("scheme", ["hierarchical", "prox_linear"])
+def test_solve_runs_at_an_admissible_boundary_alpha(alpha, scheme):
+    # numpy warnings are errors in tier-1, so this also checks that none is raised
+    spec = snmf_spec(gen_data(DatasetRecipe(n=30, m=3, seed=1)), 3, 1.0)
+    result = solve(spec, RelaxationParams.from_alpha(alpha),
+                   SolverConfig(scheme=scheme, max_iters=50))
+    assert 0 < len(result.records) <= 50
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 10.0])
+@pytest.mark.parametrize("alpha", [-0.01, -0.5, -1.5, -10.0])
+def test_hierarchical_solves_at_a_negative_alpha(lam, alpha):
+    """A column curvature alpha G_ii + lam + mu <= 0 below the caps is a
+    rejected trial that raises mu; at the caps it is positive, so the run
+    keeps its budget and its descent guarantee."""
+    spec = snmf_spec(gen_data(DatasetRecipe(n=30, m=3, seed=1)), 3, lam)
+    params = RelaxationParams.from_alpha(alpha)
+    config = SolverConfig(scheme="hierarchical", max_iters=300, audit=True)
+    result = solve(spec, params, config)
+    assert len(result.records) == 300 or result.status == STATUS_CONVERGED
+    assert diagnostics.descent_audit(result, spec, params, config) == 0
+
+
+def test_step_raises_at_a_block_rejected_at_its_cap(monkeypatch):
+    # at its cap a column curvature is at least lam + c > 0; should a block
+    # still be rejected there, raising mu further cannot help
+    from gsmf import solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "_block", lambda *args, **kwargs: None)
+    spec = snmf_spec(gen_data(DatasetRecipe(n=12, m=3, seed=1)), 3, 1.0)
+    with pytest.raises(AlgorithmInvariantError, match="at its cap$"):
+        solve(spec, RelaxationParams.from_alpha(0.6),
+              SolverConfig(scheme="hierarchical", max_iters=1))
+
+
+def test_hierarchical_update_raises_at_a_nonpositive_curvature():
+    # the caller of the public update picks mu, so its curvature is an error
+    spec, B = planted(4, 2, 0, lam=0.0)
+    params = RelaxationParams.from_alpha(-0.5)
+    Z = z_star(spec, params, B, B)
+    with pytest.raises(AlgorithmInvariantError, match="nonpositive column curvature"):
+        update_u("hierarchical", spec, params, B, B, Z, 1e-3)
+
+
 @pytest.mark.parametrize("update, name", [(update_u, "mu"), (update_v, "sigma")])
 @pytest.mark.parametrize("step, rule", [
     (math.nan, "a real number"), ("2", "a real number"), (True, "a real number"),
