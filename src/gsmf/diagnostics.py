@@ -165,6 +165,23 @@ def scheme_inclusion_residual(spec: ProblemSpec, params: RelaxationParams,
     return ru + rv
 
 
+def charged_move(X, Y, U, V):
+    """The squared move from (X, Y) to (U, V) that sufficient decrease
+    charges, ``max(0, ||(U - X, V - Y)|| - eta)^2``, and the two squared
+    block moves ``||U - X||^2`` and ``||V - Y||^2``.
+
+    ``eta = 8 eps ||(X, Y, U, V)||`` bounds the rounding of the computed
+    blocks: at a step so large that U and V are X and Y plus rounding, the
+    move charges nothing, so a huge ``c`` cannot reject every trial.
+    """
+    dU, dV = U - X, V - Y
+    dU2, dV2 = float(np.vdot(dU, dU)), float(np.vdot(dV, dV))
+    eta = 8.0 * float(np.finfo(float).eps) * math.sqrt(
+        sum(float(np.vdot(W, W)) for W in (X, Y, U, V)))
+    move = max(0.0, math.sqrt(dU2 + dV2) - eta)
+    return move * move, dU2, dV2
+
+
 def descent_audit(result, spec: ProblemSpec, params: RelaxationParams,
                   config) -> int:
     """Re-check every accepted step of an audited run.
@@ -172,7 +189,8 @@ def descent_audit(result, spec: ProblemSpec, params: RelaxationParams,
     Counts iterations where (a) the stored objective disagrees with a
     recomputation from the snapshots, (b) the acceptance inequality fails,
     or (c) mu and sigma both sat at their caps but the sufficient-descent
-    inequality fails.  A correct run returns 0.
+    inequality fails.  Both inequalities charge the move as the line search
+    does (:func:`charged_move`).  A correct run returns 0.
     """
     records = result.records
     if any(r.x is None or r.y is None for r in records):
@@ -185,11 +203,10 @@ def descent_audit(result, spec: ProblemSpec, params: RelaxationParams,
     for rec in records:
         f_true = f_lambda(spec, rec.x, rec.y)
         tol = 1e-8 * (1.0 + abs(f_true))
-        dU2 = float(np.sum((rec.x - X_prev) ** 2))
-        dV2 = float(np.sum((rec.y - Y_prev) ** 2))
+        move2, dU2, dV2 = charged_move(X_prev, Y_prev, rec.x, rec.y)
         ok = abs(rec.f_value - f_true) <= tol
         # acceptance inequality, from the stored objective and reference
-        ok = ok and (rec.f_value - R <= -(config.c / 2.0) * (dU2 + dV2) + tol)
+        ok = ok and (rec.f_value - R <= -(config.c / 2.0) * move2 + tol)
         at_caps = (
             rec.mu_max is not None
             and rec.mu_bar == rec.mu_max
@@ -197,10 +214,11 @@ def descent_audit(result, spec: ProblemSpec, params: RelaxationParams,
             and rec.sigma_bar == rec.sigma_max
         )
         if at_caps:
+            # each block's move shrunk as the charged move is
             bound = (
                 -(rec.mu_bar - params.coef * spectral_norm_sq(Y_prev)) / 2.0 * dU2
                 - (rec.sigma_bar - params.coef * spectral_norm_sq(rec.x)) / 2.0 * dV2
-            )
+            ) * (move2 / (dU2 + dV2) if dU2 + dV2 else 0.0)
             ok = ok and (rec.f_value - f_prev <= bound + tol)
         if not ok:
             violations += 1

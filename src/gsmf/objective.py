@@ -154,11 +154,12 @@ def theta(spec: ProblemSpec, params: RelaxationParams, X, Y, Z) -> float:
     return _penalized(spec, X, Y, data)
 
 
-def z_star(spec: ProblemSpec, params: RelaxationParams, X, Y):
+def z_star(spec: ProblemSpec, params: RelaxationParams, X, Y, out=None):
     """Stationary auxiliary block ``X Y^T - bz A*(A(X Y^T) - b)``, with
-    ``bz = beta/(alpha+beta)`` from ``params``."""
+    ``bz = beta/(alpha+beta)`` from ``params``, written into ``out`` (an
+    n-by-n float array) when given."""
     X, Y = spec.check_shapes(X, Y)
-    Z = X @ Y.T
+    Z = np.matmul(X, Y.T, out=out if out is None else spec.map._check_matrix(out, "out"))
     spec.map.subtract_adjoint(Z, params.bz * (spec.map.apply(Z) - spec.b))
     return Z
 

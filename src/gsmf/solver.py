@@ -17,6 +17,7 @@ that budget signals an implementation bug and raises.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ from .regularizers import Zero
 SCHEMES = ("proximal", "prox_linear", "hierarchical")
 LINE_SEARCHES = ("average", "max")
 _EPS = float(np.finfo(float).eps)
+# the most escalations of mu or sigma that tau may need from a floor to any cap
+_MAX_ESCALATIONS = 100_000
 
 STATUS_CONVERGED = "Converged"
 STATUS_ITER_LIMIT = "IterLimit"
@@ -100,6 +103,13 @@ class SolverConfig:
             raise ConfigError("need 0 < sigma_min < sigma_max0")
         if self.tau <= 1:
             raise ConfigError("tau must exceed 1")
+        # one trial per escalation: a tau this close to 1 hangs the line search
+        steps = (math.log(sys.float_info.max)
+                 - math.log(min(self.mu_min, self.sigma_min))) / math.log(self.tau)
+        if steps > _MAX_ESCALATIONS:
+            raise ConfigError(
+                f"tau={self.tau} is too close to 1: {steps:.4g} escalations from "
+                f"min(mu_min, sigma_min) to the largest float, above {_MAX_ESCALATIONS}")
         if not (0 < self.p_const <= 1):
             raise ConfigError("p_const must lie in (0, 1]")
 
@@ -170,8 +180,6 @@ class _Kernel:
         self.spec = spec
         self.params = params
         self.config = config
-        self.f_err = 0.0
-        self.az, self.bz = params.az, params.bz
         # (U, V, P) for the last accepted pair and the product gradients
         # formed there: P = M V on the full map, G on any other
         self._accepted = None
@@ -196,17 +204,12 @@ class _Kernel:
         if self.cache is not None:
             # Z Y without forming Z:  Z = az * X Y^T + bz * M
             MY = _mul_thin(self.cache.M, Y) if held is None else held
-            self.ZY = self.az * (X @ self.Gy) + self.bz * MY
+            self.ZY = self.params.az * (X @ self.Gy) + self.params.bz * MY
         else:
-            # Z is read only here, but it is dropped only now, just before
-            # z_star forms the next: the new Z then takes the freed block.
-            # Freed earlier, the step's small arrays split that block and
-            # the next Z grows the heap by an n-by-n array.  The last
-            # step's G goes with it; the slot holds the accepted pair's.
-            self.Z = self.G = None
-            self.Z = z_star(self.spec, self.params, X, Y)
+            # every Z after the first is written into the last one's array
+            self.Z = z_star(self.spec, self.params, X, Y, out=self.Z)
             self.ZY = _mul_thin(self.Z, Y)
-            # only the first step builds G, after Z for the same reason
+            # only the first step builds G; the slot holds the accepted pair's
             self.G = (self.spec.map.misfit_operator(X, Y, self.spec.b)
                       if held is None else held)
         self.ynorm2 = spectral_norm_sq(Y)
@@ -214,8 +217,8 @@ class _Kernel:
     # -- blocks -------------------------------------------------------------
 
     def update_u(self, mu):
-        return _block(self.config.scheme, self.spec, self.params.alpha, "U",
-                      self.spec.psi, self.X, self.Y, self.Gy, self.ZY, mu, trial=True)
+        return _block(self.config.scheme, self.spec, self.params.alpha,
+                      self.spec.psi, self.X, self.Y, self.Gy, self.ZY, mu)
 
     def update_v(self, U, sigma):
         if U is not self._U:
@@ -223,11 +226,12 @@ class _Kernel:
             self._UtU = U.T @ U
             if self.cache is not None:
                 self._MtU = _mul_thin(self.cache.M.T, U)
-                self._ZtU = self.az * (self.Y @ (self.X.T @ U)) + self.bz * self._MtU
+                self._ZtU = (self.params.az * (self.Y @ (self.X.T @ U))
+                             + self.params.bz * self._MtU)
             else:
-                self._ZtU = self.Y @ (self.X.T @ U) - self.bz * (self.G.T @ U)
-        return _block(self.config.scheme, self.spec, self.params.alpha, "V",
-                      self.spec.phi, self.Y, U, self._UtU, self._ZtU, sigma, trial=True)
+                self._ZtU = self.Y @ (self.X.T @ U) - self.params.bz * (self.G.T @ U)
+        return _block(self.config.scheme, self.spec, self.params.alpha,
+                      self.spec.phi, self.Y, U, self._UtU, self._ZtU, sigma)
 
     # -- stationarity --------------------------------------------------------
 
@@ -254,14 +258,13 @@ class _Kernel:
     # -- objective ----------------------------------------------------------
 
     def objective(self, U, V):
-        """Objective value plus an estimate of its absolute roundoff error.
+        """Objective value at (U, V) and its absolute roundoff error, a pair.
 
         The Gram-trace formula cancels catastrophically near an exact
         factorization (its error floor is ~eps times the trace magnitudes),
         so once the value falls near that floor it is recomputed directly:
         the residual-based form loses accuracy only in proportion to the
-        residual itself.  The line search consumes the error estimate
-        (``f_err``) as its acceptance slack.
+        residual itself.  The line search adds the error to its slack.
         """
         if self.cache is not None:
             cache = self.cache
@@ -269,16 +272,14 @@ class _Kernel:
             scale = abs(cache.tr_gram) + 2.0 * abs(cache.tr_cross) + cache.normM2
             val = snmf_objective_cached(cache, self.spec, U, V)
             if abs(val) > 1e5 * _EPS * scale:
-                self.f_err = 64.0 * _EPS * scale
-                return val
+                return val, 64.0 * _EPS * scale
             val = f_lambda(self.spec, U, V)
         else:
             # kept for the residual's misfit operator in gradients, if
             # (U, V) is accepted
             self._misfit = self.spec.map.misfit(U, V, self.spec.b)
             val = f_lambda(self.spec, U, V, misfit=self._misfit)
-        self.f_err = _roundoff_bound(val, self.spec.bnorm)
-        return val
+        return val, _roundoff_bound(val, self.spec.bnorm)
 
 
 def _check_scheme(scheme, spec):
@@ -294,17 +295,17 @@ def _check_scheme(scheme, spec):
         raise ConfigError("hierarchical scheme needs column-separable regularizers")
 
 
-def _block(scheme, spec, alpha, name, reg, prev, other, G, ZO, step, trial=False):
+def _block(scheme, spec, alpha, reg, prev, other, G, ZO, step):
     """One block update; U and V are the same subproblem with roles swapped.
 
     The block W replaces ``prev`` and couples to ``other`` through
     ``(alpha/2)||W other^T - Z||^2 + (lam/2)||W - other||^2`` plus the
     proximal term ``(step/2)||W - prev||^2``; ``G = other^T other`` and
     ``ZO = Z other`` (``Z^T other`` for V).  The U block passes
-    ("U", Psi, X, Y, Z Y, mu) and the V block ("V", Phi, Y, U, Z^T U, sigma).
-    A hierarchical column curvature <= 0 (only alpha < 0 gives one) is an
-    error, or with ``trial`` a rejected trial returned as None, after which
-    the line search raises the step.
+    (Psi, X, Y, Z Y, mu) and the V block (Phi, Y, U, Z^T U, sigma).  At a
+    hierarchical column curvature <= 0 (only alpha < 0 gives one) there is
+    no candidate, and it returns None: a rejected trial for the line search,
+    which raises the step, and an error for the public updates.
     """
     lam = spec.lam
     if scheme == "prox_linear":
@@ -320,11 +321,7 @@ def _block(scheme, spec, alpha, name, reg, prev, other, G, ZO, step, trial=False
     for i in range(spec.r):
         d = alpha * G[i, i] + lam + step
         if d <= 0:
-            if trial:
-                return None
-            raise AlgorithmInvariantError(
-                f"nonpositive column curvature {d} in hierarchical {name}-update"
-            )
+            return None
         p = ZO[:, i] - (W @ G[:, i] - W[:, i] * G[i, i])
         w = (alpha * p + lam * other[:, i] + step * prev[:, i]) / d
         W[:, i] = reg.prox_column(i, w, 1.0 / d)
@@ -353,7 +350,10 @@ def update_u(scheme, spec, params, X_k, Y_k, Z_k, mu):
     _check_scheme(scheme, spec)
     X, Y = spec.check_shapes(X_k, Y_k, ("X_k", "Y_k"))
     ZY = _mul_thin(np.asarray(spec.map._check_matrix(Z_k, "Z_k"), dtype=float), Y)
-    return _block(scheme, spec, params.alpha, "U", spec.psi, X, Y, Y.T @ Y, ZY, mu)
+    U = _block(scheme, spec, params.alpha, spec.psi, X, Y, Y.T @ Y, ZY, mu)
+    if U is None:
+        raise AlgorithmInvariantError("nonpositive column curvature in a U-update")
+    return U
 
 
 def update_v(scheme, spec, params, U, Y_k, Z_k, sigma):
@@ -363,7 +363,10 @@ def update_v(scheme, spec, params, U, Y_k, Z_k, sigma):
     _check_scheme(scheme, spec)
     U, Y = spec.check_shapes(U, Y_k, ("U", "Y_k"))
     ZtU = _mul_thin(np.asarray(spec.map._check_matrix(Z_k, "Z_k"), dtype=float).T, U)
-    return _block(scheme, spec, params.alpha, "V", spec.phi, Y, U, U.T @ U, ZtU, sigma)
+    V = _block(scheme, spec, params.alpha, spec.phi, Y, U, U.T @ U, ZtU, sigma)
+    if V is None:
+        raise AlgorithmInvariantError("nonpositive column curvature in a V-update")
+    return V
 
 
 def init_state(spec: ProblemSpec, config: SolverConfig, X0=None, Y0=None):
@@ -429,17 +432,13 @@ def step(state: SolverState, spec: ProblemSpec, params: RelaxationParams,
     X, Y = state.X, state.Y
     kern.begin_outer(X, Y)
     mu_max = params.coef * kern.ynorm2 + config.c
-    mu = max(0.1 * state.mu_bar, config.mu_min)
+    mu = min(max(0.1 * state.mu_bar, config.mu_min), mu_max)
     sigma = min(max(0.1 * state.sigma_bar, config.sigma_min), config.sigma_max0)
     budget = inner_iteration_budget(mu_max, config.mu_min, config.tau)
     sigma_max = math.nan
     inner = 0
-    recompute_u = True
-    U = None
+    U = kern.update_u(mu)
     while True:
-        if recompute_u:
-            mu = min(mu, mu_max)
-            U = kern.update_u(mu)
         # None: a hierarchical block at a column curvature <= 0, a rejected
         # trial; at its cap the curvature is at least lam + c > 0
         V = None if U is None else kern.update_v(U, sigma)
@@ -453,33 +452,31 @@ def step(state: SolverState, spec: ProblemSpec, params: RelaxationParams,
                 f"at outer iteration {state.k}"
             )
         if V is not None:
-            f_new = kern.objective(U, V)
-            dU2 = float(np.sum((U - X) ** 2))
-            dV2 = float(np.sum((V - Y) ** 2))
+            f_new, f_err = kern.objective(U, V)
+            move2 = diagnostics.charged_move(X, Y, U, V)[0]
             # slack at the roundoff floor of the two evaluations being compared:
             # near a stationary point the guaranteed decrease is below what
             # floating point resolves, and rejecting would loop to the budget
-            accept_slack = state.R_err + kern.f_err + 1e-15 * (1.0 + abs(state.R))
+            accept_slack = state.R_err + f_err + 1e-15 * (1.0 + abs(state.R))
             if not math.isinf(f_new) and (
-                f_new - state.R <= -(config.c / 2.0) * (dU2 + dV2) + accept_slack
+                f_new - state.R <= -(config.c / 2.0) * move2 + accept_slack
             ):
                 break
-        if mu == mu_max:
+        if mu < mu_max:
+            mu = min(config.tau * mu, mu_max)
+            sigma = config.tau * sigma
+            U = kern.update_u(mu)
+        else:
             if math.isnan(sigma_max):
                 sigma_max = params.coef * spectral_norm_sq(U) + config.c
                 budget = max(budget, inner + _escalations(
                     sigma, sigma_max, config.tau))
             sigma = min(config.tau * sigma, sigma_max)
-            recompute_u = False
-        else:
-            mu = config.tau * mu
-            sigma = config.tau * sigma
-            recompute_u = True
 
     state.X, state.Y = U, V
     state.mu_bar, state.sigma_bar = mu, sigma
     state.f_value = f_new
-    state.history.append((f_new, kern.f_err))
+    state.history.append((f_new, f_err))
     del state.history[: -(config.window + 1)]
     if config.line_search == "average":
         p = config.p_const
@@ -490,7 +487,7 @@ def step(state: SolverState, spec: ProblemSpec, params: RelaxationParams,
             raise AlgorithmInvariantError("reference value increased in average mode")
         if f_new > R_new + slack:
             raise AlgorithmInvariantError("objective exceeded the reference value")
-        state.R_err = (1.0 - p) * state.R_err + p * kern.f_err
+        state.R_err = (1.0 - p) * state.R_err + p * f_err
     else:
         R_new = max(f for f, _ in state.history)
         state.R_err = max(err for _, err in state.history)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gsmf.diagnostics import (
+    charged_move,
     descent_audit,
     exact_penalty_threshold,
     gradients,
@@ -253,6 +254,20 @@ def test_descent_audit_clean_run_and_fault_injection():
     corrupted = copy.deepcopy(result)
     corrupted.records[10].f_value += 1.0
     assert descent_audit(corrupted, spec, params, config) >= 1
+
+
+def test_charged_move_drops_the_rounding_of_the_blocks():
+    # quarters, so that X + 1 - X is exactly 1
+    rng = np.random.default_rng(3)
+    X, Y = rng.integers(1, 4, size=(8, 2)) / 4, rng.integers(1, 4, size=(8, 2)) / 4
+    # one ulp per entry is rounding, which charges nothing
+    U, V = np.nextafter(X, 2.0), np.nextafter(Y, 2.0)
+    move2, dU2, dV2 = charged_move(X, Y, U, V)
+    assert move2 == 0.0 and 0 < dU2 and 0 < dV2
+    # a move of 4 charges 16 less a few ulps of it
+    move2, dU2, dV2 = charged_move(X, Y, X + 1.0, Y)
+    assert (dU2, dV2) == (16.0, 0.0)
+    assert 16.0 * (1 - 1e-13) < move2 < 16.0
 
 
 def _at_both_caps(result, params, config, k):

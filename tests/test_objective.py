@@ -17,7 +17,12 @@ from gsmf.objective import (
     theta,
     z_star,
 )
-from gsmf.operators import FullVectorization, SymmetricSampling, random_symmetric_omega
+from gsmf.operators import (
+    DimensionMismatchError,
+    FullVectorization,
+    SymmetricSampling,
+    random_symmetric_omega,
+)
 from gsmf.regularizers import NonnegIndicator, Zero
 
 
@@ -394,6 +399,54 @@ def test_z_star_on_sampling_map_needs_one_dense_array():
         tracemalloc.stop()
     assert Z.shape == (n, n)
     assert peak < 1.2 * 8 * n * n
+
+
+def _z_star_problem(kind, n=7, r=2):
+    rng = np.random.default_rng(20)
+    amap = (FullVectorization(n) if kind == "full"
+            else SymmetricSampling(n, random_symmetric_omega(n, 0.4, rng)))
+    spec = ProblemSpec(amap, rng.standard_normal(amap.q), Zero(), Zero(), 0.0,
+                       n=n, r=r)
+    return spec, rng.standard_normal((n, r)), rng.standard_normal((n, r))
+
+
+@pytest.mark.parametrize("kind", ["full", "sampling"])
+def test_z_star_writes_into_out(kind):
+    spec, X, Y = _z_star_problem(kind)
+    params = RelaxationParams.from_alpha(0.6)
+    out = np.full((7, 7), np.nan)
+    assert z_star(spec, params, X, Y, out=out) is out
+    assert out.tobytes() == z_star(spec, params, X, Y).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(7, 6), (6, 7), (49,), (7, 7, 1)])
+@pytest.mark.parametrize("kind", ["full", "sampling"])
+def test_z_star_rejects_an_out_that_is_not_n_by_n(kind, shape):
+    spec, X, Y = _z_star_problem(kind)
+    with pytest.raises(DimensionMismatchError,
+                       match=rf"^out has shape \({shape[0]},.*expected a 7x7 matrix$"):
+        z_star(spec, RelaxationParams.from_alpha(0.6), X, Y, out=np.zeros(shape))
+
+
+def test_z_star_into_out_on_sampling_map_needs_no_dense_array():
+    # the sampling kernel writes every Z after the first into one array
+    n, r = 2000, 5
+    rng = np.random.default_rng(19)
+    amap = SymmetricSampling(n, random_symmetric_omega(n, 0.001, rng))
+    spec = ProblemSpec(amap, rng.uniform(size=amap.q), Zero(), Zero(), 1.0,
+                       n=n, r=r)
+    X, Y = rng.uniform(size=(n, r)), rng.uniform(size=(n, r))
+    params = RelaxationParams.from_alpha(0.6)
+    out = np.empty((n, n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        z_star(spec, params, X, Y, out=out)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * 8 * n * n
+    assert out.tobytes() == z_star(spec, params, X, Y).tobytes()
 
 
 def test_relaxation_identity_over_grid():

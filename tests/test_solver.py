@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,24 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
         SolverConfig(seed=-1)
     assert SolverConfig(max_iters=0).max_iters == 0
+
+
+@pytest.mark.parametrize("tau", [math.nextafter(1.0, 2.0), 1.0005])
+def test_config_rejects_a_tau_that_would_hang_the_line_search(tau):
+    # each escalation is one trial; at 1 + 1 ulp the escalations from
+    # mu_min = 1 to the largest float number about 3e18
+    with pytest.raises(ConfigError,
+                       match=rf"^tau={re.escape(repr(tau))} is too close to 1: "):
+        SolverConfig(tau=tau)
+
+
+def test_config_bounds_the_escalations_from_the_lower_floor():
+    # about 71 000 escalations from mu_min = sigma_min = 1 to the largest
+    # float; from a floor of 1e-300 about 141 000, above the 100 000 allowed
+    assert SolverConfig(tau=1.01).tau == 1.01
+    for floor in ("mu_min", "sigma_min"):
+        with pytest.raises(ConfigError, match=r"^tau=1\.01 is too close to 1: 1\.4"):
+            SolverConfig(tau=1.01, **{floor: 1e-300})
 
 
 @pytest.mark.parametrize("field", ["window", "consec_required", "max_iters", "seed"])
@@ -337,6 +356,20 @@ def test_hierarchical_solves_at_a_negative_alpha(lam, alpha):
     assert diagnostics.descent_audit(result, spec, params, config) == 0
 
 
+@pytest.mark.parametrize("c", [1e-4, 1e10, 1e20, 1e50, 1e100, 1e200, 1e300])
+@pytest.mark.parametrize("scheme", ["hierarchical", "prox_linear"])
+def test_solve_runs_at_a_large_c(scheme, c):
+    """Sufficient decrease charges only the move above its rounding.  At a
+    huge c the accepted blocks are the old ones plus rounding, and (c/2)
+    times that rounding would reject every trial up to the budget."""
+    spec = snmf_spec(gen_data(DatasetRecipe(n=8, m=2, seed=1)), 2, 1.0)
+    params = RelaxationParams.from_alpha(0.6)
+    config = SolverConfig(scheme=scheme, c=c, max_iters=50, audit=True)
+    result = solve(spec, params, config)
+    assert 0 < len(result.records) <= 50
+    assert diagnostics.descent_audit(result, spec, params, config) == 0
+
+
 def test_step_raises_at_a_block_rejected_at_its_cap(monkeypatch):
     # at its cap a column curvature is at least lam + c > 0; should a block
     # still be rejected there, raising mu further cannot help
@@ -354,8 +387,12 @@ def test_hierarchical_update_raises_at_a_nonpositive_curvature():
     spec, B = planted(4, 2, 0, lam=0.0)
     params = RelaxationParams.from_alpha(-0.5)
     Z = z_star(spec, params, B, B)
-    with pytest.raises(AlgorithmInvariantError, match="nonpositive column curvature"):
+    with pytest.raises(AlgorithmInvariantError,
+                       match="^nonpositive column curvature in a U-update$"):
         update_u("hierarchical", spec, params, B, B, Z, 1e-3)
+    with pytest.raises(AlgorithmInvariantError,
+                       match="^nonpositive column curvature in a V-update$"):
+        update_v("hierarchical", spec, params, B, B, Z, 1e-3)
 
 
 @pytest.mark.parametrize("update, name", [(update_u, "mu"), (update_v, "sigma")])
@@ -666,8 +703,7 @@ def test_budget_violation_raises_invariant_error():
 
     class BrokenKernel(_Kernel):
         def objective(self, U, V):
-            self.f_err = 0.0
-            return 1e30
+            return 1e30, 0.0
 
     state = init_state(spec, config)
     with pytest.raises(AlgorithmInvariantError, match="budget"):
