@@ -51,9 +51,15 @@ class ProblemSpec:
             raise ValueError("b has non-finite entries")
 
     @cached_property
+    def bnorm_sq(self) -> float:
+        """||b||^2, one dot over b: on the full map also ||M||_F^2 of the
+        kernel's Gram cache."""
+        return float(self.b @ self.b)
+
+    @cached_property
     def bnorm(self) -> float:
         """||b||, the scale of the relative objective and roundoff bounds."""
-        return float(np.linalg.norm(self.b))
+        return math.sqrt(self.bnorm_sq)
 
     def check_shapes(self, X, Y, names=("X", "Y")):
         """The factors as float arrays, after checking that both are n-by-r.
@@ -182,15 +188,18 @@ class GramCache:
     """Gram-product cache for the symmetric-NMF fast path.
 
     Holds the small products needed to evaluate the objective without
-    forming U V^T.  ``||M||_F^2`` is one dot over ``M.ravel("K")``, which
-    is a view of a C- or F-contiguous M (the solver's M is the F-order view
-    of b), so the cache copies nothing.
+    forming U V^T.  ``normM2`` supplies ``||M||_F^2`` when the caller has it
+    (the solver passes its spec's ``bnorm_sq``: its M is the F-order view of
+    b); otherwise it is one dot over ``M.ravel("K")``, a view of a C- or
+    F-contiguous M, so the cache copies nothing.
     """
 
-    def __init__(self, M):
+    def __init__(self, M, normM2=None):
         self.M = np.asarray(M, dtype=float)
-        m = self.M.ravel("K")
-        self.normM2 = float(m @ m)
+        if normM2 is None:
+            m = self.M.ravel("K")
+            normM2 = float(m @ m)
+        self.normM2 = normM2
         # the products and trace terms of the last refresh
         self.UtU = self.VtV = self.MtU = self.tr_gram = self.tr_cross = None
 

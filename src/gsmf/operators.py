@@ -29,7 +29,14 @@ class DimensionMismatchError(ValueError):
 
 def _mul_thin(A, W):
     """``A @ W`` for n-by-n A and n-by-r W as ``(W^T A^T)^T``: with the thin
-    operand on the left OpenBLAS runs it up to 2x faster, A in C or F order."""
+    operand on the left OpenBLAS runs it up to 2x faster, A in C or F order.
+
+    An all-zero W gives C-contiguous zeros without reading A, which is exact
+    for a finite A (BLAS starts each sum at +0.0).  Only a wholly zero W is
+    skipped: a product over W's nonzero columns alone takes another BLAS path
+    and can differ in the last bits."""
+    if not W.any():
+        return np.zeros(W.shape)
     return np.ascontiguousarray((W.T @ A.T).T)
 
 

@@ -172,7 +172,8 @@ class _Kernel:
     the one product it formed there (M V on the full map, G on any other),
     and :meth:`begin_outer` reuses it as M Y or G.  Every n-by-n times n-by-r
     product (most of the time of an outer iteration) goes through
-    ``_mul_thin``, its fastest orientation.
+    ``_mul_thin``, its fastest orientation, which forms none against an
+    all-zero block.
     """
 
     def __init__(self, spec: ProblemSpec, params: RelaxationParams,
@@ -187,7 +188,7 @@ class _Kernel:
         self._U = self._UtU = self._ZtU = None
         # off the full map: the last candidate's misfit, Z and G at (X, Y)
         self._misfit = self.Z = self.G = None
-        self.cache = (GramCache(spec.map.adjoint(spec.b))
+        self.cache = (GramCache(spec.map.adjoint(spec.b), normM2=spec.bnorm_sq)
                       if isinstance(spec.map, FullVectorization) else None)
         _check_scheme(config.scheme, spec)
 
@@ -343,13 +344,24 @@ def _solve_rxr(A, rhs):
         raise AlgorithmInvariantError(f"singular r-by-r block system: {exc}") from exc
 
 
+def _check_finite(**blocks):
+    """Reject a block with an inf or NaN entry, naming it: the solver's
+    products assume finite operands (an all-zero factor block skips its
+    product with Z, which would hide a non-finite Z)."""
+    for name, W in blocks.items():
+        if not np.all(np.isfinite(W)):
+            raise ValueError(f"{name} has non-finite entries")
+
+
 def update_u(scheme, spec, params, X_k, Y_k, Z_k, mu):
     """Candidate U block for one scheme, given the auxiliary block Z_k."""
     if _checks.real("mu", mu) <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     _check_scheme(scheme, spec)
     X, Y = spec.check_shapes(X_k, Y_k, ("X_k", "Y_k"))
-    ZY = _mul_thin(np.asarray(spec.map._check_matrix(Z_k, "Z_k"), dtype=float), Y)
+    Z = np.asarray(spec.map._check_matrix(Z_k, "Z_k"), dtype=float)
+    _check_finite(X_k=X, Y_k=Y, Z_k=Z)
+    ZY = _mul_thin(Z, Y)
     U = _block(scheme, spec, params.alpha, spec.psi, X, Y, Y.T @ Y, ZY, mu)
     if U is None:
         raise AlgorithmInvariantError("nonpositive column curvature in a U-update")
@@ -362,7 +374,9 @@ def update_v(scheme, spec, params, U, Y_k, Z_k, sigma):
         raise ValueError(f"sigma must be positive, got {sigma}")
     _check_scheme(scheme, spec)
     U, Y = spec.check_shapes(U, Y_k, ("U", "Y_k"))
-    ZtU = _mul_thin(np.asarray(spec.map._check_matrix(Z_k, "Z_k"), dtype=float).T, U)
+    Z = np.asarray(spec.map._check_matrix(Z_k, "Z_k"), dtype=float)
+    _check_finite(U=U, Y_k=Y, Z_k=Z)
+    ZtU = _mul_thin(Z.T, U)
     V = _block(scheme, spec, params.alpha, spec.phi, Y, U, U.T @ U, ZtU, sigma)
     if V is None:
         raise AlgorithmInvariantError("nonpositive column curvature in a V-update")
@@ -378,9 +392,7 @@ def init_state(spec: ProblemSpec, config: SolverConfig, X0=None, Y0=None):
     if Y0 is None:
         Y0 = rng.uniform(size=(spec.n, spec.r))
     X0, Y0 = spec.check_shapes(X0, Y0, ("X0", "Y0"))
-    for name, W in (("X0", X0), ("Y0", Y0)):
-        if not np.all(np.isfinite(W)):
-            raise ValueError(f"{name} has non-finite entries")
+    _check_finite(X0=X0, Y0=Y0)
     f0 = f_lambda(spec, X0, Y0)
     if math.isinf(f0):
         raise ValueError("infeasible start: objective is infinite at (X0, Y0)")

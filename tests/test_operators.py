@@ -459,3 +459,32 @@ def test_mul_thin_matches_matmul(n, r, order):
     got, want = _mul_thin(A, W), A @ W
     assert got.shape == (n, r) and got.flags.c_contiguous
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    # W with one live column: the whole product, the same bits as unskipped
+    # (over the live column alone BLAS would take its gemv path)
+    W[:, 1:] = 0.0
+    assert np.array_equal(_mul_thin(A, W), (W.T @ A.T).T)
+    # an all-zero W: the product is skipped, and its zeros equal A @ W
+    W = np.zeros((n, r))
+    got = _mul_thin(A, W)
+    assert got.shape == (n, r) and got.flags.c_contiguous
+    assert np.array_equal(got, A @ W)
+
+
+def test_mul_thin_reads_no_a_for_an_all_zero_operand():
+    class Unreadable:
+        """An n-by-n operand that fails when read."""
+
+        @property
+        def T(self):
+            raise AssertionError("A was read")
+
+    W = np.zeros((7, 3))
+    W[2, 1] = -0.0  # a negative zero is zero too
+    got = _mul_thin(Unreadable(), W)
+    assert got.shape == (7, 3) and got.dtype == float and got.flags.c_contiguous
+    assert not got.any() and not np.signbit(got).any()
+    assert not np.shares_memory(got, W)
+    # one nonzero entry, and the product is formed
+    W[2, 1] = 1e-300
+    with pytest.raises(AssertionError, match="A was read"):
+        _mul_thin(Unreadable(), W)

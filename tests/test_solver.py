@@ -408,6 +408,23 @@ def test_update_names_a_bad_step(update, name, step, rule):
         update("prox_linear", spec, params, B, B, Z, step)
 
 
+@pytest.mark.parametrize("update, at, name", [
+    (update_u, 0, "X_k"), (update_u, 1, "Y_k"), (update_u, 2, "Z_k"),
+    (update_v, 0, "U"), (update_v, 1, "Y_k"), (update_v, 2, "Z_k"),
+])
+@pytest.mark.parametrize("scheme", ["prox_linear", "hierarchical"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_update_names_a_nonfinite_block(update, at, name, scheme, bad):
+    # the factor blocks are all zero, so Z's product is skipped, not formed:
+    # a non-finite Z is still an error, not a zero product
+    spec, B = planted(4, 2, 0)
+    params = RelaxationParams.from_alpha(0.6)
+    blocks = [np.zeros_like(B), np.zeros_like(B), z_star(spec, params, B, B)]
+    blocks[at][1, 1] = bad
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        update(scheme, spec, params, *blocks, 1.0)
+
+
 # --------------------------------------------------------------------------
 # single steps
 # --------------------------------------------------------------------------
@@ -980,3 +997,32 @@ def test_sampling_solve_forms_one_dense_product_per_step(monkeypatch):
     assert sum(rec.inner_iterations for rec in result.records) > 30
     assert len(operands) == len(ys) == 30
     assert all(W is Y for W, Y in zip(operands, ys))
+
+
+def test_all_zero_blocks_skip_their_products_and_keep_the_trace(monkeypatch):
+    # at alpha < 1 the relaxed Z weighs X Y^T negatively, and the prox can
+    # zero a whole block: its products are zeros, not formed, and the solve
+    # is the one that forms every product
+    from gsmf import solver as solver_mod
+
+    M = gen_data(DatasetRecipe("synthetic", n=40, m=5, seed=1, noise_t=0.01,
+                               symmetrize_noise=True))
+    spec = snmf_spec(M, 5, 1.0)
+    params = RelaxationParams.from_alpha(0.6)
+    config = SolverConfig(scheme="prox_linear", max_iters=30, seed=0)
+    mul_thin, zero_operands = solver_mod._mul_thin, [0]
+
+    def counting_mul_thin(A, W):
+        zero_operands[0] += not W.any()
+        return mul_thin(A, W)
+
+    monkeypatch.setattr(solver_mod, "_mul_thin", counting_mul_thin)
+    skipped = solve(spec, params, config)
+    assert zero_operands[0] >= 1
+
+    monkeypatch.setattr(solver_mod, "_mul_thin",
+                        lambda A, W: np.ascontiguousarray((W.T @ A.T).T))
+    formed = solve(spec, params, config)
+    assert len(skipped.records) == 30
+    assert skipped.records == formed.records
+    assert np.array_equal(skipped.X, formed.X) and np.array_equal(skipped.Y, formed.Y)
