@@ -49,7 +49,7 @@ def gradients(spec: ProblemSpec, X, Y, G=None):
     an n-by-n matrix.  ``G`` may supply
     ``spec.map.misfit_operator(X, Y, spec.b)``.
     """
-    X, Y = spec.check_shapes(X, Y)
+    X, Y = spec.check_blocks(X, Y)
     if G is None:
         G = spec.map.misfit_operator(X, Y, spec.b)
     D = spec.lam * (X - Y)
@@ -92,7 +92,7 @@ def exact_penalty_threshold(spec: ProblemSpec, X, Y):
     Ab = spec.map.adjoint(spec.b)
     if float(np.max(np.abs(Ab - Ab.T))) > 1e-10 * max(1.0, float(np.max(np.abs(Ab)))):
         raise ValueError("A*(b) must be symmetric for the exact-penalty threshold")
-    X, Y = spec.check_shapes(X, Y)
+    X, Y = spec.check_blocks(X, Y)
     if isinstance(spec.map, FullVectorization):  # A* A = I; X Y^T = Q_X R_X R_Y^T Q_Y^T
         op_norm = math.sqrt(spectral_norm_sq(
             np.linalg.qr(X, mode="r") @ np.linalg.qr(Y, mode="r").T))
@@ -130,9 +130,9 @@ def scheme_inclusion_residual(spec: ProblemSpec, params: RelaxationParams,
 
     _check_scheme(scheme, spec)
     a, lam = params.alpha, spec.lam
-    X, Y = spec.check_shapes(X, Y)
-    U, V = spec.check_shapes(U, V, ("U", "V"))
-    Z = np.asarray(spec.map._check_matrix(Z, "Z"), dtype=float)
+    X, Y = spec.check_blocks(X, Y)
+    U, V = spec.check_blocks(U, V, ("U", "V"))
+    Z = spec.check_z(Z)
 
     def residual_full(reg, scheme, W, prev, other, Zmat, step):
         Go = other.T @ other
@@ -234,8 +234,8 @@ def descent_audit(result, spec: ProblemSpec, params: RelaxationParams,
 def report(spec: ProblemSpec, params: RelaxationParams, result,
            config=None) -> DiagnosticsReport:
     """Aggregate the certificates for a finished run."""
-    # checked first: a misshapen factor is an error, not a missing threshold
-    X, Y = spec.check_shapes(result.X, result.Y)
+    # read first: a bad factor is an error, not a missing threshold
+    X, Y = spec.check_blocks(result.X, result.Y)
     try:
         threshold, satisfied = exact_penalty_threshold(spec, X, Y)
     except ValueError as exc:

@@ -34,7 +34,6 @@ class ProblemSpec:
     r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         for name in ("n", "r"):
             object.__setattr__(self, name,
                                _checks.integer(name, getattr(self, name), 1))
@@ -43,12 +42,7 @@ class ProblemSpec:
         object.__setattr__(self, "lam", _checks.real("lambda", self.lam, 0))
         if self.map.n != self.n:
             raise ValueError(f"map is for n={self.map.n}, spec has n={self.n}")
-        if self.b.shape != (self.map.q,):
-            raise ValueError(
-                f"b has shape {self.b.shape}, expected ({self.map.q},)"
-            )
-        if not np.all(np.isfinite(self.b)):
-            raise ValueError("b has non-finite entries")
+        object.__setattr__(self, "b", _read("b", self.b, (self.map.q,)))
 
     @cached_property
     def bnorm_sq(self) -> float:
@@ -61,18 +55,31 @@ class ProblemSpec:
         """||b||, the scale of the relative objective and roundoff bounds."""
         return math.sqrt(self.bnorm_sq)
 
-    def check_shapes(self, X, Y, names=("X", "Y")):
-        """The factors as float arrays, after checking that both are n-by-r.
+    def check_blocks(self, X, Y, names=("X", "Y")):
+        """The factors as float arrays, after checking that both are n-by-r
+        with every entry finite.
 
         Every public function that takes factor blocks reads them through
-        this, so integer factors give the values of float ones; ``names``
+        this, so integer factors give the values of float ones and a NaN or
+        inf entry is an error, not a point outside the domain; ``names``
         are the blocks' names in the caller's signature, for the error."""
-        for name, M in zip(names, (X, Y)):
-            if np.shape(M) != (self.n, self.r):
-                raise ValueError(
-                    f"{name} has shape {np.shape(M)}, expected ({self.n}, {self.r})"
-                )
-        return np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+        return tuple(_read(name, W, (self.n, self.r)) for name, W in zip(names, (X, Y)))
+
+    def check_z(self, Z, name="Z"):
+        """A dense auxiliary block as a float array, after checking that it
+        is n-by-n (the map's ``DimensionMismatchError`` otherwise) with
+        every entry finite."""
+        return _read(name, self.map._check_matrix(Z, name), (self.n, self.n))
+
+
+def _read(name, W, shape):
+    """W as a float array, after checking its shape and that it is finite."""
+    if np.shape(W) != shape:
+        raise ValueError(f"{name} has shape {np.shape(W)}, expected {shape}")
+    W = np.asarray(W, dtype=float)
+    if not np.isfinite(W).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return W
 
 
 def _beta(alpha):
@@ -132,24 +139,21 @@ def _penalized(spec: ProblemSpec, X, Y, data) -> float:
     return val
 
 
-def f_lambda(spec: ProblemSpec, X, Y, misfit=None) -> float:
+def f_lambda(spec: ProblemSpec, X, Y) -> float:
     """Objective: Psi(X) + Phi(Y) + 0.5 ||A(X Y^T) - b||^2 + lam/2 ||X - Y||_F^2.
 
-    ``misfit`` may supply ``spec.map.misfit(X, Y, spec.b)`` when the caller
-    has it; otherwise the map supplies the squared misfit
-    (``LinearMap.misfit_norm_sq``), which the full map sums in row blocks
-    without an n-by-n temporary.
+    The map supplies the squared misfit (``LinearMap.misfit_norm_sq``),
+    which the full map sums in row blocks without an n-by-n temporary.
     """
-    X, Y = spec.check_shapes(X, Y)
-    return _penalized(spec, X, Y, lambda: 0.5 * (
-        spec.map.misfit_norm_sq(X, Y, spec.b) if misfit is None
-        else float(misfit @ misfit)))
+    X, Y = spec.check_blocks(X, Y)
+    return _penalized(spec, X, Y,
+                      lambda: 0.5 * spec.map.misfit_norm_sq(X, Y, spec.b))
 
 
 def theta(spec: ProblemSpec, params: RelaxationParams, X, Y, Z) -> float:
     """Potential: the objective with the bilinear term split through Z."""
-    X, Y = spec.check_shapes(X, Y)
-    Z = spec.map._check_matrix(Z, "Z")
+    X, Y = spec.check_blocks(X, Y)
+    Z = spec.check_z(Z)
 
     def data():
         S = X @ Y.T - Z
@@ -162,9 +166,12 @@ def theta(spec: ProblemSpec, params: RelaxationParams, X, Y, Z) -> float:
 
 def z_star(spec: ProblemSpec, params: RelaxationParams, X, Y, out=None):
     """Stationary auxiliary block ``X Y^T - bz A*(A(X Y^T) - b)``, with
-    ``bz = beta/(alpha+beta)`` from ``params``, written into ``out`` (an
-    n-by-n float array) when given."""
-    X, Y = spec.check_shapes(X, Y)
+    ``bz = beta/(alpha+beta)`` from ``params``, written into ``out`` (a
+    writeable n-by-n float64 array, whatever it holds) when given."""
+    X, Y = spec.check_blocks(X, Y)
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.flags.writeable):
+        raise ValueError("out must be a writeable float64 array")
     Z = np.matmul(X, Y.T, out=out if out is None else spec.map._check_matrix(out, "out"))
     spec.map.subtract_adjoint(Z, params.bz * (spec.map.apply(Z) - spec.b))
     return Z

@@ -45,8 +45,9 @@ class LinearMap:
 
     Subclasses implement ``apply``, ``adjoint`` and ``misfit_operator``;
     everything else is derived.  Instances are immutable after construction.
-    The misfit methods take float factors X, Y: the public functions cast
-    them once, in ``ProblemSpec.check_shapes``.
+    The misfit methods take float factors X, Y and assume them finite: the
+    public functions read them once, in ``ProblemSpec.check_blocks``, and a
+    dense Z in ``ProblemSpec.check_z``.
     """
 
     n: int

@@ -30,6 +30,7 @@ from .objective import (
     GramCache,
     ProblemSpec,
     RelaxationParams,
+    _penalized,
     f_lambda,
     snmf_objective_cached,
     z_star,
@@ -265,22 +266,25 @@ class _Kernel:
         factorization (its error floor is ~eps times the trace magnitudes),
         so once the value falls near that floor it is recomputed directly:
         the residual-based form loses accuracy only in proportion to the
-        residual itself.  The line search adds the error to its slack.
+        residual itself.  The line search adds the error to its slack.  The
+        direct value is ``f_lambda``'s body without its block reader, so a
+        candidate with a non-finite entry is a rejected trial, not an error.
         """
+        spec, m = self.spec, None
         if self.cache is not None:
             cache = self.cache
             cache.refresh(V, self._MtU, self._UtU)
             scale = abs(cache.tr_gram) + 2.0 * abs(cache.tr_cross) + cache.normM2
-            val = snmf_objective_cached(cache, self.spec, U, V)
+            val = snmf_objective_cached(cache, spec, U, V)
             if abs(val) > 1e5 * _EPS * scale:
                 return val, 64.0 * _EPS * scale
-            val = f_lambda(self.spec, U, V)
         else:
             # kept for the residual's misfit operator in gradients, if
             # (U, V) is accepted
-            self._misfit = self.spec.map.misfit(U, V, self.spec.b)
-            val = f_lambda(self.spec, U, V, misfit=self._misfit)
-        return val, _roundoff_bound(val, self.spec.bnorm)
+            m = self._misfit = spec.map.misfit(U, V, spec.b)
+        val = _penalized(spec, U, V, lambda: 0.5 * (
+            spec.map.misfit_norm_sq(U, V, spec.b) if m is None else float(m @ m)))
+        return val, _roundoff_bound(val, spec.bnorm)
 
 
 def _check_scheme(scheme, spec):
@@ -344,24 +348,13 @@ def _solve_rxr(A, rhs):
         raise AlgorithmInvariantError(f"singular r-by-r block system: {exc}") from exc
 
 
-def _check_finite(**blocks):
-    """Reject a block with an inf or NaN entry, naming it: the solver's
-    products assume finite operands (an all-zero factor block skips its
-    product with Z, which would hide a non-finite Z)."""
-    for name, W in blocks.items():
-        if not np.all(np.isfinite(W)):
-            raise ValueError(f"{name} has non-finite entries")
-
-
 def update_u(scheme, spec, params, X_k, Y_k, Z_k, mu):
     """Candidate U block for one scheme, given the auxiliary block Z_k."""
     if _checks.real("mu", mu) <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     _check_scheme(scheme, spec)
-    X, Y = spec.check_shapes(X_k, Y_k, ("X_k", "Y_k"))
-    Z = np.asarray(spec.map._check_matrix(Z_k, "Z_k"), dtype=float)
-    _check_finite(X_k=X, Y_k=Y, Z_k=Z)
-    ZY = _mul_thin(Z, Y)
+    X, Y = spec.check_blocks(X_k, Y_k, ("X_k", "Y_k"))
+    ZY = _mul_thin(spec.check_z(Z_k, "Z_k"), Y)
     U = _block(scheme, spec, params.alpha, spec.psi, X, Y, Y.T @ Y, ZY, mu)
     if U is None:
         raise AlgorithmInvariantError("nonpositive column curvature in a U-update")
@@ -373,10 +366,8 @@ def update_v(scheme, spec, params, U, Y_k, Z_k, sigma):
     if _checks.real("sigma", sigma) <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     _check_scheme(scheme, spec)
-    U, Y = spec.check_shapes(U, Y_k, ("U", "Y_k"))
-    Z = np.asarray(spec.map._check_matrix(Z_k, "Z_k"), dtype=float)
-    _check_finite(U=U, Y_k=Y, Z_k=Z)
-    ZtU = _mul_thin(Z.T, U)
+    U, Y = spec.check_blocks(U, Y_k, ("U", "Y_k"))
+    ZtU = _mul_thin(spec.check_z(Z_k, "Z_k").T, U)
     V = _block(scheme, spec, params.alpha, spec.phi, Y, U, U.T @ U, ZtU, sigma)
     if V is None:
         raise AlgorithmInvariantError("nonpositive column curvature in a V-update")
@@ -391,8 +382,7 @@ def init_state(spec: ProblemSpec, config: SolverConfig, X0=None, Y0=None):
         X0 = rng.uniform(size=(spec.n, spec.r))
     if Y0 is None:
         Y0 = rng.uniform(size=(spec.n, spec.r))
-    X0, Y0 = spec.check_shapes(X0, Y0, ("X0", "Y0"))
-    _check_finite(X0=X0, Y0=Y0)
+    X0, Y0 = spec.check_blocks(X0, Y0, ("X0", "Y0"))
     f0 = f_lambda(spec, X0, Y0)
     if math.isinf(f0):
         raise ValueError("infeasible start: objective is infinite at (X0, Y0)")

@@ -445,7 +445,7 @@ def _blocks(spec, X, Y):
 
 # every public function that takes the factors X, Y, as f(spec, X, Y)
 FACTOR_ENTRY_POINTS = {
-    "check_shapes": lambda spec, X, Y: spec.check_shapes(X, Y),
+    "check_blocks": lambda spec, X, Y: spec.check_blocks(X, Y),
     "f_lambda": f_lambda,
     "theta": lambda spec, X, Y: theta(spec, _PARAMS, X, Y, np.ones((spec.n, spec.n))),
     "z_star": lambda spec, X, Y: z_star(spec, _PARAMS, X, Y),
@@ -566,6 +566,47 @@ def test_a_misshapen_z_is_a_dimension_mismatch(kind, call):
     with pytest.raises(DimensionMismatchError,
                        match=r"^Z has shape \(5, 5\), expected a 8x8 matrix$"):
         call(spec, np.ones((8, 2)), np.ones((5, 5)))
+
+
+# --------------------------------------------------------------------------
+# non-finite inputs
+# --------------------------------------------------------------------------
+
+# symmetry_gap takes no spec: it is outside the block rule, as is
+# spectral_norm_sq
+_SPEC_ENTRY_POINTS = sorted(set(FACTOR_ENTRY_POINTS) - {"symmetry_gap"})
+
+
+@pytest.mark.parametrize("kind", ["full", "sampling"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1])
+@pytest.mark.parametrize("name", _SPEC_ENTRY_POINTS)
+def test_nonfinite_factors_are_named(kind, at, bad, name):
+    spec = _spec_8x2(kind)
+    blocks = [np.ones((8, 2)), np.ones((8, 2))]
+    blocks[at][3, 1] = bad
+    block = _BLOCK_NAMES.get(name, ("X", "Y"))[at]
+    with pytest.raises(ValueError, match=f"^{block} has non-finite entries$"):
+        FACTOR_ENTRY_POINTS[name](spec, *blocks)
+
+
+@pytest.mark.parametrize("kind", ["full", "sampling"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda spec, B, Z: theta(spec, _PARAMS, B, B, Z), "Z", id="theta"),
+    pytest.param(lambda spec, B, Z: update_u("prox_linear", spec, _PARAMS, B, B, Z, 2.0),
+                 "Z_k", id="update_u"),
+    pytest.param(lambda spec, B, Z: update_v("prox_linear", spec, _PARAMS, B, B, Z, 2.0),
+                 "Z_k", id="update_v"),
+    pytest.param(lambda spec, B, Z: _inclusion(spec, B, B, B, B, Z), "Z",
+                 id="scheme_inclusion_residual"),
+])
+def test_a_nonfinite_z_is_named(kind, bad, call, name):
+    spec = _spec_8x2(kind)
+    Z = np.ones((8, 8))
+    Z[5, 2] = bad
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        call(spec, np.ones((8, 2)), Z)
 
 
 def test_scheme_inclusion_residual_rejects_a_scheme_the_problem_does_not_admit():

@@ -428,6 +428,28 @@ def test_z_star_rejects_an_out_that_is_not_n_by_n(kind, shape):
         z_star(spec, RelaxationParams.from_alpha(0.6), X, Y, out=np.zeros(shape))
 
 
+def _read_only(shape):
+    out = np.zeros(shape)
+    out.flags.writeable = False
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: np.zeros((7, 7), dtype=np.int64), id="int64"),
+    pytest.param(lambda: np.zeros((7, 7), dtype=np.float32), id="float32"),
+    pytest.param(lambda: _read_only((7, 7)), id="read-only"),
+    pytest.param(lambda: np.zeros((7, 7)).tolist(), id="list"),
+])
+@pytest.mark.parametrize("kind", ["full", "sampling"])
+def test_z_star_names_an_out_it_cannot_write_into(kind, make):
+    spec, X, Y = _z_star_problem(kind)
+    out = make()
+    before = np.array(out)
+    with pytest.raises(ValueError, match="^out must be a writeable float64 array$"):
+        z_star(spec, RelaxationParams.from_alpha(0.6), X, Y, out=out)
+    assert np.array_equal(out, before)
+
+
 def test_z_star_into_out_on_sampling_map_needs_no_dense_array():
     # the sampling kernel writes every Z after the first into one array
     n, r = 2000, 5

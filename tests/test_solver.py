@@ -382,6 +382,33 @@ def test_step_raises_at_a_block_rejected_at_its_cap(monkeypatch):
               SolverConfig(scheme="hierarchical", max_iters=1))
 
 
+@pytest.mark.parametrize("kind", ["full", "sampling"])
+def test_a_nonfinite_trial_is_a_rejected_trial(monkeypatch, kind):
+    # the line search evaluates a candidate without the public block reader,
+    # so a NaN block is rejected and mu escalates; on the full map the NaN
+    # Gram-trace value fails its magnitude test and the direct value is used
+    from gsmf import solver as solver_mod
+
+    block, calls = solver_mod._block, [0]
+
+    def nan_first(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == 1:
+            return np.full_like(args[4], np.nan)  # prev: n-by-r
+        return block(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "_block", nan_first)
+    spec = (snmf_spec(gen_data(DatasetRecipe(n=12, m=3, seed=1)), 3, 1.0)
+            if kind == "full" else _sampling_spec(NonnegIndicator()))
+    config = SolverConfig(scheme="prox_linear", mu_min=1e-3, audit=True)
+    state = init_state(spec, config)
+    rec = step(state, spec, RelaxationParams.from_alpha(0.6), config)
+    assert config.mu_min < rec.mu_max
+    assert rec.inner_iterations >= 2
+    assert math.isfinite(rec.f_value)
+    assert np.all(np.isfinite(state.X)) and np.all(np.isfinite(state.Y))
+
+
 def test_hierarchical_update_raises_at_a_nonpositive_curvature():
     # the caller of the public update picks mu, so its curvature is an error
     spec, B = planted(4, 2, 0, lam=0.0)
